@@ -39,8 +39,6 @@ from .layout_ops import (
     Branch,
     Layout,
     SpinalDecomposition,
-    delta_count,
-    expand,
     identity_layout,
     is_of_type,
     la_cost,
@@ -60,7 +58,6 @@ from .tree_ola import (
     central_vertex,
     complete_graph,
     cycle_graph,
-    edge_disjoint_lower_bound,
     is_recursively_balanced,
     rbt_ola,
 )

@@ -44,9 +44,9 @@ from .io_formats import (
     serialize_instance,
     serialize_layout,
 )
-from .layout_ops import la_cost
+from .layout_ops import la_cost, la_total
 from .property_suite import run_suite
-from .tree_ola import brute_force_ola, is_recursively_balanced, rbt_ola
+from .tree_ola import brute_force_ola, rbt_ola
 
 
 class _Usage(Exception):
@@ -154,18 +154,16 @@ def _cmd_cost(args) -> int:
 
 
 def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int = 10) -> int:
-    from .layout_ops import la_total
-
-    if use_oracle:
-        return brute_force_ola(h.tree, limit=limit).optimal_cost
-    if is_recursively_balanced(h.tree).verdict:
-        return la_total(h.tree, rbt_ola(h.tree))
-    if h.n <= limit:
-        return brute_force_ola(h.tree, limit=limit).optimal_cost
-    raise _Usage(
-        "tree is not recursively balanced and too large for the oracle; "
-        "pass --tree-opt or --oracle"
-    )
+    if not use_oracle:
+        try:
+            return la_total(h.tree, rbt_ola(h.tree))
+        except NotRecursivelyBalanced:
+            if h.n > limit:
+                raise _Usage(
+                    "tree is not recursively balanced and too large for the oracle; "
+                    "pass --tree-opt or --oracle"
+                ) from None
+    return brute_force_ola(h.tree, limit=limit).optimal_cost
 
 
 def _cmd_bound(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleDetected, DisconnectedInput, DuplicateChild, InvalidSubstrate
 
@@ -72,9 +72,6 @@ class EmbeddedTree:
     def is_leaf(self, v: VertexId) -> bool:
         return not self.children[v]
 
-    def leaves(self) -> List[VertexId]:
-        return leaves_in_embedding_order(self)
-
     def degree(self, v: VertexId) -> int:
         return len(self.children[v]) + (0 if v == self.root else 1)
 
@@ -103,16 +100,17 @@ class EmbeddedTree:
             stack.extend(reversed(self.children[v]))
         return order
 
+    def subtree_heights(self) -> List[int]:
+        """Height of the subtree rooted at each vertex, a leaf counting as 1."""
+        height = [1] * self.n
+        for v in reversed(self.dfs_order()):
+            for c in self.children[v]:
+                height[v] = max(height[v], height[c] + 1)
+        return height
+
     def height(self) -> int:
         """Height counting a single vertex as 1."""
-        depth = [1] * self.n
-        h = 1
-        for v in self.dfs_order():
-            for c in self.children[v]:
-                depth[c] = depth[v] + 1
-                if depth[c] > h:
-                    h = depth[c]
-        return h
+        return self.subtree_heights()[self.root]
 
 
 def build_embedded_tree(
@@ -216,12 +214,15 @@ class HalinGraph:
     def tree_edges(self) -> List[Edge]:
         return self.tree.edges()
 
+    def cycle_pairs(self) -> List[Tuple[VertexId, VertexId]]:
+        """Consecutive leaves of the cycle, closed by the pair (last, first)."""
+        ring = self.cycle_order
+        return list(zip(ring, ring[1:] + ring[:1]))
+
     def cycle_edges(self) -> List[Edge]:
-        k = len(self.cycle_order)
         return [
-            Edge(*_normalize_pair(self.cycle_order[i], self.cycle_order[(i + 1) % k]),
-                 kind=EdgeKind.CYCLE)
-            for i in range(k)
+            Edge(*_normalize_pair(a, b), kind=EdgeKind.CYCLE)
+            for a, b in self.cycle_pairs()
         ]
 
     def edges(self) -> List[Edge]:
@@ -229,11 +230,6 @@ class HalinGraph:
 
     def degree(self, v: VertexId) -> int:
         return self.tree.degree(v) + (2 if self.tree.is_leaf(v) else 0)
-
-    def cycle_neighbors(self, leaf: VertexId) -> Tuple[VertexId, VertexId]:
-        k = len(self.cycle_order)
-        i = self.cycle_order.index(leaf)
-        return (self.cycle_order[(i - 1) % k], self.cycle_order[(i + 1) % k])
 
 
 def halin_from_tree(tree: EmbeddedTree) -> HalinGraph:

@@ -5,20 +5,22 @@ The optimum of a Halin graph H = T + C is bounded below by
 ``rearrange_to_halin_ola`` turns any block-structured optimal tree layout
 into an optimal Halin layout by swapping equal-size sibling subtree blocks
 (cost-free on the tree) until the leaves read in cyclic order, and
-``direct_rbt_halin_ola`` builds the same optimum from scratch as an
-independent cross-check.
+``direct_rbt_halin_ola`` builds the same optimum from scratch: it is the
+balanced emitter of ``rbt_ola`` run on the mirrored embedding.  The direct
+construction never touches the swap engine, so it stays an independent
+cross-check of the rearranger.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .errors import NotContiguous, NotRbt, NotTreeOptimalInput
+from .errors import HalinOlaError, NotContiguous, NotRbt, NotTreeOptimalInput
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 from .layout_ops import Layout, la_cost, la_total, reverse_block, sigma_swap
-from .tree_ola import is_recursively_balanced, rbt_ola
+from .tree_ola import _balanced_layout, is_recursively_balanced, rbt_ola
 
 
 def halin_lower_bound(h: HalinGraph, tree_opt_cost: int) -> int:
@@ -220,14 +222,6 @@ class _BlockEngine:
         return starts, occupants, a
 
 
-def _subtree_heights(tree: EmbeddedTree) -> List[int]:
-    h = [1] * tree.n
-    for v in reversed(tree.dfs_order()):
-        for c in tree.children[v]:
-            h[v] = max(h[v], h[c] + 1)
-    return h
-
-
 def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, SwapTrace]:
     """Turn an optimal tree layout into an optimal Halin layout by swaps.
 
@@ -243,19 +237,17 @@ def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, 
 
     Raises NotRbt, NotTreeOptimalInput (input cost differs from the
     recursively-balanced optimum), or NotContiguous (input layout is not
-    block-structured).
+    block-structured).  The result is checked against the bound before it
+    is returned (also under ``python -O``); a miss raises HalinOlaError.
     """
     tree = h.tree
-    if not is_recursively_balanced(tree).verdict:
-        raise NotRbt("underlying tree is not recursively balanced")
     opt_cost = la_total(tree, rbt_ola(tree))
-    if la_total(tree, tree_layout) != opt_cost:
-        raise NotTreeOptimalInput(
-            f"input tree cost {la_total(tree, tree_layout)} != optimum {opt_cost}"
-        )
+    in_cost = la_total(tree, tree_layout)
+    if in_cost != opt_cost:
+        raise NotTreeOptimalInput(f"input tree cost {in_cost} != optimum {opt_cost}")
 
     size = tree.subtree_sizes()
-    heights = _subtree_heights(tree)
+    heights = tree.subtree_heights()
     engine = _BlockEngine(tree, tree_layout)
     steps: List[SwapStep] = []
 
@@ -297,50 +289,31 @@ def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, 
     arrange(root, 1, tree.n, True, target=top_target)
 
     out = engine.layout()
-    trace = SwapTrace(tuple(steps), len(steps), engine.moved)
-    assert la_total(tree, out) == opt_cost
-    assert cycle_cost_is_tight(h, out)
-    return out, trace
+    report = la_cost(h, out)
+    tight = (opt_cost, 2 * (h.n - 1))
+    if (report.tree_cost, report.cycle_cost) != tight:
+        raise HalinOlaError(f"rearranged layout misses the bound: (tree, cycle) = "
+                            f"{(report.tree_cost, report.cycle_cost)}, needs {tight}")
+    return out, SwapTrace(tuple(steps), len(steps), engine.moved)
 
 
 def direct_rbt_halin_ola(h: HalinGraph) -> Layout:
     """Build an optimal Halin layout from scratch (no input layout).
 
-    Children are emitted in reversed embedding order with the node inserted
-    between a balanced split of its blocks (the node lands on the side facing
-    its parent).  The leaf sequence comes out as a reflection of the cycle,
-    so the cycle part is tight; the tree part matches the recursively
-    balanced optimum.  Serves as an independent cross-check of
+    This is the balanced emitter of ``rbt_ola`` run on the mirrored
+    embedding: children are emitted in reversed embedding order with the
+    node inserted between a balanced split of its blocks (the node lands on
+    the side facing its parent).  The leaf sequence comes out as a
+    reflection of the cycle, so the cycle part is tight; the tree part
+    matches the recursively balanced optimum.  It does not use the swap
+    engine, so it serves as an independent cross-check of
     ``rearrange_to_halin_ola``.
 
     Raises NotRbt.
     """
-    tree = h.tree
-    if not is_recursively_balanced(tree).verdict:
+    if not is_recursively_balanced(h.tree).verdict:
         raise NotRbt("underlying tree is not recursively balanced")
-
-    order: List[VertexId] = []
-    EMIT = -1
-    PARENT_RIGHT, PARENT_LEFT = 0, 1
-    stack: List[Tuple[VertexId, int]] = [(tree.root, PARENT_RIGHT)]
-    while stack:
-        v, side = stack.pop()
-        if side == EMIT:
-            order.append(v)
-            continue
-        cs = tree.children[v]
-        if not cs:
-            order.append(v)
-            continue
-        seq = list(reversed(cs))
-        c = len(seq)
-        a = (c + 1) // 2 if side == PARENT_RIGHT else c // 2
-        for child in reversed(seq[a:]):
-            stack.append((child, PARENT_LEFT))
-        stack.append((v, EMIT))
-        for child in reversed(seq[:a]):
-            stack.append((child, PARENT_RIGHT))
-    return Layout(tuple(order))
+    return _balanced_layout(h.tree, mirror=True)
 
 
 def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:

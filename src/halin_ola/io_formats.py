@@ -9,10 +9,10 @@ parse/serialize round trip is byte-exact.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import ParseError, SchemaVersionUnsupported
-from .graph_core import EmbeddedTree, HalinGraph, build_embedded_tree, halin_from_tree
+from .graph_core import HalinGraph, build_embedded_tree, halin_from_tree
 from .layout_ops import Layout
 
 SCHEMA_VERSION = 1
@@ -133,9 +133,10 @@ def export_dot(h: HalinGraph, layout: Optional[Layout] = None) -> str:
             lines.append(f'  {v} [label="{v}:{layout.position(v)}"];')
         else:
             lines.append(f"  {v};")
-    for e in h.tree_edges():
-        lines.append(f"  {e.u} -- {e.v} [style=dashed];")
-    for e in h.cycle_edges():
-        lines.append(f"  {e.u} -- {e.v} [style=bold];")
+    for v in h.tree.vertices:
+        for c in h.tree.children[v]:
+            lines.append(f"  {min(v, c)} -- {max(v, c)} [style=dashed];")
+    for a, b in h.cycle_pairs():
+        lines.append(f"  {min(a, b)} -- {max(a, b)} [style=bold];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,11 +6,11 @@ operation returns a fresh layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterable, List, Sequence, Set, Tuple, Union
 
 from .errors import NotContiguous, Overlapping
-from .graph_core import Edge, EdgeKind, EmbeddedTree, HalinGraph, VertexId
+from .graph_core import EmbeddedTree, HalinGraph, VertexId
 
 
 @dataclass(frozen=True)
@@ -67,54 +67,34 @@ def identity_layout(n: int) -> Layout:
 GraphLike = Union[EmbeddedTree, HalinGraph]
 
 
-def graph_edges(g) -> List[Edge]:
-    """Edge list of anything this package treats as a graph."""
-    return g.edges()
-
-
-def expand(e: Edge, layout: Layout) -> int:
-    """|position(u) - position(v)| for edge e = {u, v}."""
-    pos = layout.positions()
-    return abs(pos[e.u] - pos[e.v])
-
-
 @dataclass(frozen=True)
 class ArrangementReport:
     total_cost: int
     tree_cost: int
     cycle_cost: int
-    per_edge_expand: Dict[Edge, int] = field(compare=False)
 
 
-def la_cost(g, layout: Layout) -> ArrangementReport:
-    """Linear arrangement cost of ``layout`` with a per-edge breakdown.
+def la_cost(g: GraphLike, layout: Layout) -> ArrangementReport:
+    """Linear arrangement cost of ``layout``, split into tree and cycle parts.
 
-    For a HalinGraph the total splits into tree and cycle parts; for a plain
-    tree (or any graph whose edges are all TREE-kind) cycle_cost is 0.
+    The tree part sums each vertex's distance to its parent; for a
+    HalinGraph the cycle part sums the distances of consecutive cycle
+    leaves, and for a plain tree it is 0.
     """
     pos = layout.positions()
-    per_edge: Dict[Edge, int] = {}
-    tree_cost = 0
-    cycle_cost = 0
-    for e in graph_edges(g):
-        lam = abs(pos[e.u] - pos[e.v])
-        per_edge[e] = lam
-        if e.kind is EdgeKind.CYCLE:
-            cycle_cost += lam
-        else:
-            tree_cost += lam
-    return ArrangementReport(
-        total_cost=tree_cost + cycle_cost,
-        tree_cost=tree_cost,
-        cycle_cost=cycle_cost,
-        per_edge_expand=per_edge,
-    )
+    if isinstance(g, HalinGraph):
+        tree, ring = g.tree, g.cycle_pairs()
+    else:
+        tree, ring = g, ()
+    tree_cost = sum(abs(pos[v] - pos[p]) for v, p in enumerate(tree.parent)
+                    if p is not None)
+    cycle_cost = sum(abs(pos[a] - pos[b]) for a, b in ring)
+    return ArrangementReport(tree_cost + cycle_cost, tree_cost, cycle_cost)
 
 
-def la_total(g, layout: Layout) -> int:
-    """Total LA cost without building the report (hot path helper)."""
-    pos = layout.positions()
-    return sum(abs(pos[e.u] - pos[e.v]) for e in graph_edges(g))
+def la_total(g: GraphLike, layout: Layout) -> int:
+    """Total LA cost of ``layout``."""
+    return la_cost(g, layout).total_cost
 
 
 BlockPartition = Sequence[Iterable[VertexId]]
@@ -183,18 +163,6 @@ def reverse_block(layout: Layout, block: Iterable[VertexId]) -> Layout:
     order = list(layout.vertex_at)
     order[lo - 1:hi] = reversed(order[lo - 1:hi])
     return Layout(tuple(order))
-
-
-def delta_count(layout: Layout, lo: Optional[VertexId], hi: Optional[VertexId],
-                vertices: Iterable[VertexId]) -> int:
-    """Count vertices of ``vertices`` placed strictly between lo and hi.
-
-    ``lo=None`` / ``hi=None`` mean "no bound on that side".
-    """
-    pos = layout.positions()
-    p_lo = pos[lo] if lo is not None else 0
-    p_hi = pos[hi] if hi is not None else layout.n + 1
-    return sum(1 for v in vertices if p_lo < pos[v] < p_hi)
 
 
 def tree_path(tree: EmbeddedTree, u: VertexId, v: VertexId) -> List[VertexId]:

@@ -7,10 +7,9 @@ branch-and-bound oracle used to certify everything else at small sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
-from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotRecursivelyBalanced, TooLarge
 from .graph_core import Edge, EdgeKind, EmbeddedTree, VertexId
@@ -110,12 +109,20 @@ def rbt_ola(tree: EmbeddedTree, stats: Optional[VisitCounter] = None) -> Layout:
 
     Raises NotRecursivelyBalanced when the certificate fails.
     """
-    cert = is_recursively_balanced(tree, stats=stats)
-    if not cert.verdict:
+    if not is_recursively_balanced(tree, stats=stats).verdict:
         raise NotRecursivelyBalanced(
             "tree is not recursively balanced; rbt_ola does not apply"
         )
+    return _balanced_layout(tree, mirror=False, stats=stats)
 
+
+def _balanced_layout(tree: EmbeddedTree, mirror: bool,
+                     stats: Optional[VisitCounter] = None) -> Layout:
+    """The balanced-split emitter behind ``rbt_ola``; the tree must be balanced.
+
+    ``mirror=True`` reverses every child list first, i.e. lays out the
+    mirrored embedding.
+    """
     order: List[VertexId] = []
     # (vertex, parent-side) work items; EMIT marks a vertex's own slot.
     EMIT = -1
@@ -132,8 +139,10 @@ def rbt_ola(tree: EmbeddedTree, stats: Optional[VisitCounter] = None) -> Layout:
         if not cs:
             order.append(v)
             continue
+        if mirror:
+            cs = cs[::-1]
         c = len(cs)
-        a = ceil(c / 2) if side == PARENT_RIGHT else c // 2
+        a = (c + 1) // 2 if side == PARENT_RIGHT else c // 2
         # pushed in reverse so the leftmost block is emitted first
         for child in reversed(cs[a:]):
             stack.append((child, PARENT_LEFT))
@@ -149,15 +158,6 @@ class OracleResult:
     optimal_layouts: Tuple[Layout, ...]
     optimal_count: int
     states_explored: int
-
-
-def edge_disjoint_lower_bound(cost_g1: int, cost_g2: int) -> int:
-    """Optimum of G is at least the sum of the optima of an edge partition."""
-    return cost_g1 + cost_g2
-
-
-def _edge_pairs(g) -> List[Tuple[int, int]]:
-    return [(e.u, e.v) for e in g.edges()]
 
 
 def _scan_all_permutations(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
@@ -262,7 +262,7 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True) -> OracleResult:
     n = g.n
     if n > limit:
         raise TooLarge(f"n={n} exceeds oracle limit {limit}")
-    pairs = _edge_pairs(g)
+    pairs = [(e.u, e.v) for e in g.edges()]
     if n == 1:
         return OracleResult(0, (Layout((0,)),), 1, 1)
     if pruned:

@@ -82,8 +82,23 @@ class TestDot:
     def test_layout_labels(self):
         h = gen_wheel(4)
         text = export_dot(h, Layout((1, 2, 0, 3, 4)))
-        assert '0 [label="0:3"];' in text
-        assert '1 [label="1:1"];' in text
+        assert text == (
+            "graph halin {\n"
+            '  0 [label="0:3"];\n'
+            '  1 [label="1:1"];\n'
+            '  2 [label="2:2"];\n'
+            '  3 [label="3:4"];\n'
+            '  4 [label="4:5"];\n'
+            "  0 -- 1 [style=dashed];\n"
+            "  0 -- 2 [style=dashed];\n"
+            "  0 -- 3 [style=dashed];\n"
+            "  0 -- 4 [style=dashed];\n"
+            "  1 -- 2 [style=bold];\n"
+            "  2 -- 3 [style=bold];\n"
+            "  3 -- 4 [style=bold];\n"
+            "  1 -- 4 [style=bold];\n"
+            "}\n"
+        )
 
 
 class TestCliPipeline:

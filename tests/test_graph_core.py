@@ -129,8 +129,7 @@ class TestHalinGraph:
     def test_cycle_follows_embedding(self):
         h = halin_from_tree(tri_star())
         assert h.cycle_order == (4, 5, 6, 7, 8, 9)
-        assert h.cycle_neighbors(4) == (9, 5)
-        assert h.cycle_neighbors(9) == (8, 4)
+        assert h.cycle_pairs() == [(4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 4)]
 
     def test_edge_partition(self):
         h = halin_from_tree(tri_star())

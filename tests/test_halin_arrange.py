@@ -1,4 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import halin_ola
 
 from halin_ola import (
     Layout,
@@ -101,6 +109,31 @@ class TestRearrange:
         with pytest.raises(NotTreeOptimalInput):
             rearrange_to_halin_ola(h, Layout((0, 1, 2, 3, 4)))  # hub first: cost 10
 
+    def test_faulty_engine_raises_under_optimize(self):
+        # the final certify must not be an assert: under -O a broken engine
+        # would otherwise hand back a layout that misses the bound
+        script = textwrap.dedent("""
+            import sys
+            from halin_ola import (HalinOlaError, gen_kary_rbt_halin, halin_arrange,
+                                   rbt_ola, rearrange_to_halin_ola, scramble_tree_ola)
+            if __debug__:
+                sys.exit("not running under -O")
+            h = gen_kary_rbt_halin(3, 2, 3)
+            start = scramble_tree_ola(h.tree, rbt_ola(h.tree), seed=5)
+            halin_arrange._BlockEngine.layout = lambda self: start
+            try:
+                rearrange_to_halin_ola(h, start)
+            except HalinOlaError:
+                sys.exit(0)
+            sys.exit("faulty layout returned without an error")
+        """)
+        src = str(Path(halin_ola.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_trace_serializable(self):
         import json
 
@@ -116,6 +149,11 @@ class TestDirect:
     def test_wheels(self, spokes, opt):
         h = gen_wheel(spokes)
         assert la_total(h, direct_rbt_halin_ola(h)) == opt
+
+    def test_layouts_pinned(self):
+        assert direct_rbt_halin_ola(gen_wheel(4)).vertex_at == (4, 3, 0, 2, 1)
+        h = gen_kary_rbt_halin(3, 2, 2)
+        assert direct_rbt_halin_ola(h).vertex_at == (9, 3, 8, 7, 2, 6, 0, 5, 1, 4)
 
     def test_agrees_with_rearrange_at_n40(self):
         # complete ternary substrate of height 3: too big for the oracle,

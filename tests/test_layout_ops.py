@@ -9,8 +9,7 @@ from halin_ola import (
     NotContiguous,
     Overlapping,
     build_embedded_tree,
-    delta_count,
-    expand,
+    gen_random_halin,
     gen_wheel,
     halin_from_tree,
     identity_layout,
@@ -64,8 +63,24 @@ class TestCost:
         report = la_cost(h, lay)
         assert (report.tree_cost, report.cycle_cost) == (6, 8)
         assert report.total_cost == 14 == la_total(h, lay)
-        spoke = next(e for e in h.tree_edges() if e.endpoints == (0, 1))
-        assert report.per_edge_expand[spoke] == 2 == expand(spoke, lay)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_edge_sum(self, data):
+        h = gen_random_halin(data.draw(st.integers(4, 60)),
+                             seed=data.draw(st.integers(0, 10**6)))
+        lay = Layout(tuple(data.draw(st.permutations(list(h.tree.vertices)))))
+        pos = lay.positions()
+
+        def edge_sum(edges):
+            return sum(abs(pos[e.u] - pos[e.v]) for e in edges)
+
+        report = la_cost(h, lay)
+        assert report.tree_cost == edge_sum(h.tree_edges())
+        assert report.cycle_cost == edge_sum(h.cycle_edges())
+        assert report.total_cost == report.tree_cost + report.cycle_cost
+        bare = la_cost(h.tree, lay)
+        assert (bare.tree_cost, bare.cycle_cost) == (report.tree_cost, 0)
 
     @settings(max_examples=50, deadline=None)
     @given(perm_strategy)
@@ -119,12 +134,6 @@ class TestTypeAndDelta:
     def test_is_of_type_needs_cover(self):
         with pytest.raises(ValueError):
             is_of_type(identity_layout(4), [[0], [1]])
-
-    def test_delta_count(self):
-        lay = identity_layout(7)
-        assert delta_count(lay, 1, 5, [2, 3, 4, 6]) == 3
-        assert delta_count(lay, None, 3, [0, 1, 2, 5]) == 3
-        assert delta_count(lay, 4, None, [5, 6]) == 2
 
 
 class TestSpinal:

@@ -11,7 +11,6 @@ from halin_ola import (
     central_vertex,
     complete_graph,
     cycle_graph,
-    edge_disjoint_lower_bound,
     is_recursively_balanced,
     la_total,
     rbt_ola,
@@ -173,16 +172,3 @@ class TestOracle:
         assert a.optimal_cost == b.optimal_cost == n - 1
         assert a.optimal_count == b.optimal_count
         assert set(a.optimal_layouts) == set(b.optimal_layouts)
-
-
-class TestEdgeDisjointBound:
-    def test_k4_split(self):
-        # K4 = spanning star (opt 4) + triangle (opt 4)
-        assert edge_disjoint_lower_bound(4, 4) == 8 <= 10
-
-    def test_empty_second_part(self):
-        assert edge_disjoint_lower_bound(7, 0) == 7
-
-    def test_w5_split(self):
-        # W5 = K_{1,4} (opt 6) + C4 (opt 6)
-        assert edge_disjoint_lower_bound(6, 6) == 12 <= 14
