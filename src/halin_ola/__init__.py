@@ -3,7 +3,7 @@
 A Halin graph is a plane tree (minimum internal degree 3 once the cycle is
 added) whose leaves are joined by a cycle in embedding order.  This package
 computes optimal linear arrangements for the recursively-balanced subclass
-in near-linear time, provides an exhaustive oracle and structural property
+in near-linear time, provides an exact oracle and structural property
 checks for small instances, and ships a CLI over stable JSON file formats.
 """
 

@@ -44,7 +44,7 @@ from .io_formats import (
     serialize_instance,
     serialize_layout,
 )
-from .layout_ops import la_cost, la_total
+from .layout_ops import Layout, la_cost, la_total
 from .property_suite import run_suite
 from .tree_ola import brute_force_ola, rbt_ola
 
@@ -70,6 +70,13 @@ def _write(path: str, data: bytes):
 
 def _load_instance(path: str, strict: bool = True) -> HalinGraph:
     return parse_instance(_read(path), strict=strict)
+
+
+def _load_layout(path: str, h: HalinGraph) -> Layout:
+    layout = parse_layout(_read(path))
+    if layout.n != h.n:
+        raise ParseError(f"layout has {layout.n} vertices, instance has {h.n}")
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +138,7 @@ def _cmd_solve(args) -> int:
         layout = direct_rbt_halin_ola(h)
     else:  # rearrange
         if args.tree_layout is not None:
-            tree_layout = parse_layout(_read(args.tree_layout))
+            tree_layout = _load_layout(args.tree_layout, h)
         else:
             tree_layout = rbt_ola(h.tree)
         layout, trace = rearrange_to_halin_ola(h, tree_layout)
@@ -146,10 +153,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cost(args) -> int:
     h = _load_instance(args.input)
-    layout = parse_layout(_read(args.layout))
-    if layout.n != h.n:
-        raise ParseError(f"layout has {layout.n} vertices, instance has {h.n}")
-    _print_cost(h, layout)
+    _print_cost(h, _load_layout(args.layout, h))
     return 0
 
 
@@ -178,9 +182,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     h = _load_instance(args.input)
-    layout = parse_layout(_read(args.layout))
-    if layout.n != h.n:
-        raise ParseError(f"layout has {layout.n} vertices, instance has {h.n}")
+    layout = _load_layout(args.layout, h)
     tree_opt = _tree_optimum(h, args.oracle)
     cert = certify(h, layout, tree_opt)
     payload = {
@@ -257,7 +259,7 @@ def _cmd_proptest(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     h = _load_instance(args.input)
-    layout = parse_layout(_read(args.layout)) if args.layout else None
+    layout = _load_layout(args.layout, h) if args.layout else None
     _write(args.output, export_dot(h, layout).encode("utf-8"))
     print(f"wrote {args.output}")
     return 0
@@ -307,14 +309,14 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--tree-opt", type=int, help="known optimal tree cost")
     group.add_argument("--oracle", action="store_true",
-                       help="compute the tree optimum exhaustively")
+                       help="compute the tree optimum with the exact oracle")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="certify a layout against the bound")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-l", "--layout", required=True)
     p.add_argument("--oracle", action="store_true",
-                   help="also compare against the exhaustive optimum")
+                   help="also compare against the exact oracle optimum")
     p.add_argument("--limit", type=int, default=10, help="oracle size limit")
     p.set_defaults(func=_cmd_verify)
 

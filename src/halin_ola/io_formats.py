@@ -29,6 +29,8 @@ def _load_json(data: bytes) -> object:
         raise ParseError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 def _check_version(doc: dict):

@@ -1,12 +1,15 @@
 """Exact tree arrangement machinery.
 
 Contains the tree centroid, recursive-balance detection, the linear-time
-optimal arrangement for recursively balanced trees, and the exhaustive
-branch-and-bound oracle used to certify everything else at small sizes.
+optimal arrangement for recursively balanced trees, and the exact oracle
+used to certify everything else at small sizes: a dynamic program over
+prefix sets (a layout costs the sum of its prefix cuts), cross-checked by
+a plain scan of all permutations.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
@@ -16,6 +19,8 @@ from .graph_core import Edge, EdgeKind, EmbeddedTree, VertexId
 from .layout_ops import Layout
 
 LAYOUT_CAP = 10_000
+# The subset DP holds two lists of 2^n ints: about 0.1 GB at n = 20.
+_ORACLE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -157,11 +162,11 @@ class OracleResult:
     optimal_cost: int
     optimal_layouts: Tuple[Layout, ...]
     optimal_count: int
-    states_explored: int
+    states_explored: int  # subsets for the DP (2^n), permutations for the scan
 
 
 def _scan_all_permutations(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
-    """Plain full enumeration; the independent check for the pruned search."""
+    """Plain full enumeration; the independent check for the subset DP."""
     best = None
     count = 0
     layouts: List[Layout] = []
@@ -183,88 +188,101 @@ def _scan_all_permutations(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleRe
     return OracleResult(best, tuple(layouts), count, states)
 
 
-def _branch_and_bound(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
-    """Exhaustive search with reversal-symmetry and admissible cost pruning.
+def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
+    """Exact optimum, optimum count and optima by a DP over prefix sets.
 
-    Only layouts whose first vertex id is smaller than their last are
-    enumerated; optima are re-expanded with their reversals afterwards.  The
-    bound adds 1 per not-yet-internal edge to the prefix cost, so pruning
-    uses strict inequality and all optima survive.
+    A layout's cost is the sum of ``cut(prefix)`` over its n-1 gaps, so with
+    ``h[full] = 0`` and ``h[S] = cut[S] + min_{v not in S} h[S | v]`` the
+    optimum is ``h[0]``; ``cnt[S]`` sums the counts of the minimising
+    extensions.  Optima are walked depth-first from the empty prefix in
+    increasing vertex order, i.e. lexicographically.  Only layouts whose
+    first vertex is smaller than their last are kept, each emitted with its
+    reversal, up to ``LAYOUT_CAP``.
     """
-    m = len(pairs)
-    adjacency: List[List[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    # masks[v][k]: the neighbours joined to v by more than k parallel edges.
+    deg = [0] * n
+    masks: List[List[int]] = [[] for _ in range(n)]
+    for (u, v), m in Counter(pairs).items():
+        deg[u] += m
+        deg[v] += m
+        for a, b in ((u, v), (v, u)):
+            masks[a] += [0] * (m - len(masks[a]))
+            for k in range(m):
+                masks[a][k] |= 1 << b
 
-    best = [None]
-    count = [0]
-    layouts: List[Tuple[int, ...]] = []
-    states = [0]
-    pos = [0] * n
+    full = (1 << n) - 1
+    h = [0] * (full + 1)  # cut[S] first, then overwritten by h[S]
+    for s in range(1, full + 1):
+        low = s & -s
+        v = low.bit_length() - 1
+        rest = s ^ low
+        c = h[rest] + deg[v]
+        for mask in masks[v]:
+            c -= 2 * (mask & rest).bit_count()
+        h[s] = c
+    cnt = [0] * (full + 1)
+    cnt[full] = 1
+    for s in range(full - 1, -1, -1):
+        free = full ^ s
+        best = None
+        ways = 0
+        while free:
+            low = free & -free
+            free ^= low
+            t = s | low
+            if best is None or h[t] < best:
+                best = h[t]
+                ways = cnt[t]
+            elif h[t] == best:
+                ways += cnt[t]
+        h[s] += best
+        cnt[s] = ways
+
+    want = (LAYOUT_CAP + 1) // 2
+    kept: List[Tuple[int, ...]] = []
     prefix: List[int] = []
 
-    def descend(depth: int, partial: int, edges_done: int):
-        states[0] += 1
-        if depth == n:
-            if prefix[-1] < prefix[0]:
-                return
-            if best[0] is None or partial < best[0]:
-                best[0] = partial
-                count[0] = 1
-                del layouts[:]
-                layouts.append(tuple(prefix))
-            elif partial == best[0]:
-                count[0] += 1
-                if len(layouts) < LAYOUT_CAP:
-                    layouts.append(tuple(prefix))
+    def walk(s: int):
+        if s == full:
+            if prefix[0] < prefix[-1]:
+                kept.append(tuple(prefix))
             return
-        p = depth + 1
-        for v in range(n):
-            if pos[v]:
-                continue
-            inc = 0
-            closed = 0
-            for u in adjacency[v]:
-                if pos[u]:
-                    inc += p - pos[u]
-                    closed += 1
-            new_partial = partial + inc
-            if best[0] is not None and new_partial + (m - edges_done - closed) > best[0]:
-                continue
-            pos[v] = p
-            prefix.append(v)
-            descend(depth + 1, new_partial, edges_done + closed)
-            prefix.pop()
-            pos[v] = 0
+        nxt = [(v, s | 1 << v) for v in range(n) if not s >> v & 1]
+        best = min(h[t] for _, t in nxt)
+        for v, t in nxt:
+            if h[t] == best:
+                prefix.append(v)
+                walk(t)
+                prefix.pop()
+                if len(kept) == want:
+                    return
 
-    descend(0, 0, 0)
-    count[0] *= 2
-    expanded: List[Layout] = []
-    for t in layouts:
-        expanded.append(Layout(t))
-        if len(expanded) >= LAYOUT_CAP:
-            break
-        expanded.append(Layout(tuple(reversed(t))))
-        if len(expanded) >= LAYOUT_CAP:
-            break
-    return OracleResult(best[0], tuple(expanded), count[0], states[0])
+    walk(0)
+    layouts: List[Layout] = []
+    for t in kept:
+        layouts += (Layout(t), Layout(t[::-1]))
+    return OracleResult(h[0], tuple(layouts[:LAYOUT_CAP]), cnt[0], full + 1)
 
 
 def brute_force_ola(g, limit: int = 10, pruned: bool = True) -> OracleResult:
-    """Exact optimum of any small graph by exhaustive search.
+    """Exact optimum of any small graph.
 
-    ``pruned=False`` runs the independent plain-enumeration path; both paths
-    must agree, which the test suite checks for all n <= 7 instances.
+    The default path is the prefix-cut subset DP, O(2^n * n) time and about
+    2 * 2^n list slots.  ``pruned=False`` runs the independent enumeration
+    of all n! permutations; both paths must agree, which the test suite
+    checks for all n <= 7 instances.
 
-    Raises TooLarge when n exceeds ``limit`` (default 10).
+    Raises TooLarge when n exceeds ``limit`` (default 10), and whatever
+    ``limit`` says, when n exceeds ``_ORACLE_MAX_N``, before allocating.
     """
     n = g.n
     if n > limit:
         raise TooLarge(f"n={n} exceeds oracle limit {limit}")
+    if n > _ORACLE_MAX_N:
+        raise TooLarge(f"n={n} exceeds the oracle's hard ceiling {_ORACLE_MAX_N}")
     pairs = [(e.u, e.v) for e in g.edges()]
     if n == 1:
         return OracleResult(0, (Layout((0,)),), 1, 1)
     if pruned:
-        return _branch_and_bound(n, pairs)
+        return _subset_dp(n, pairs)
     return _scan_all_permutations(n, pairs)

@@ -198,3 +198,42 @@ class TestCliPipeline:
              "-o", str(out)]
         ) == 0
         assert main(["verify", "-i", str(inst), "-l", str(out), "--oracle"]) == 0
+
+    def test_proptest_standard_corpus(self, capsys):
+        assert main(["proptest"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+    def _wheels_with_layouts(self, tmp_path):
+        paths = {}
+        for name, spokes in (("k4", 3), ("w5", 4)):
+            inst = tmp_path / f"{name}.json"
+            lay = tmp_path / f"{name}.layout.json"
+            main(["gen", "--family", "wheel", "--spokes", str(spokes), "-o", str(inst)])
+            main(["solve", "--method", "direct", "-i", str(inst), "-o", str(lay)])
+            paths[name] = (inst, lay)
+        return paths
+
+    def test_rearrange_rejects_layout_of_wrong_size(self, tmp_path):
+        paths = self._wheels_with_layouts(tmp_path)
+        out = tmp_path / "out.layout.json"
+        assert main(
+            ["solve", "--method", "rearrange", "-i", str(paths["w5"][0]),
+             "-t", str(paths["k4"][1]), "-o", str(out)]
+        ) == 2
+        assert not out.exists()
+
+    def test_export_dot_rejects_layout_of_wrong_size(self, tmp_path):
+        paths = self._wheels_with_layouts(tmp_path)
+        out = tmp_path / "out.dot"
+        assert main(
+            ["export-dot", "-i", str(paths["k4"][0]), "-l", str(paths["w5"][1]),
+             "-o", str(out)]
+        ) == 2
+        assert not out.exists()
+
+    def test_deeply_nested_json_exit_2(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        lay = tmp_path / "lay.json"
+        lay.write_bytes(serialize_layout(Layout((0, 1, 2, 3))))
+        assert main(["cost", "-i", str(deep), "-l", str(lay)]) == 2

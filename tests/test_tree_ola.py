@@ -1,9 +1,13 @@
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halin_ola import (
     NotRecursivelyBalanced,
+    SimpleGraph,
     TooLarge,
     VisitCounter,
     brute_force_ola,
@@ -11,10 +15,13 @@ from halin_ola import (
     central_vertex,
     complete_graph,
     cycle_graph,
+    gen_wheel,
     is_recursively_balanced,
     la_total,
     rbt_ola,
+    standard_corpus,
 )
+from halin_ola.tree_ola import LAYOUT_CAP
 
 
 def path(n):
@@ -170,5 +177,54 @@ class TestOracle:
         a = brute_force_ola(g, pruned=True)
         b = brute_force_ola(g, pruned=False)
         assert a.optimal_cost == b.optimal_cost == n - 1
+        assert a.optimal_count == b.optimal_count
+        assert set(a.optimal_layouts) == set(b.optimal_layouts)
+
+    def test_hard_ceiling_before_allocation(self):
+        # the subset DP would need two lists of 2^21 ints; refuse before that
+        g = path(21)
+        tracemalloc.start()
+        try:
+            for pruned in (True, False):
+                with pytest.raises(TooLarge):
+                    brute_force_ola(g, limit=30, pruned=pruned)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_layout_cap(self):
+        tree = star(8)
+        res = brute_force_ola(tree)
+        assert res.optimal_cost == 20
+        assert res.optimal_count == 40320
+        assert len(res.optimal_layouts) == LAYOUT_CAP
+        assert all(la_total(tree, lay) == 20 for lay in res.optimal_layouts)
+
+    def test_parity_digest(self):
+        # optima, counts and layout order, as pinned from the former
+        # branch-and-bound search on the same graphs
+        graphs = [g for _s, h in standard_corpus() for g in (h, h.tree)]
+        graphs += [gen_wheel(8), gen_wheel(8).tree]
+        rows = []
+        for g in graphs:
+            r = brute_force_ola(g)
+            rows.append((r.optimal_cost, r.optimal_count,
+                         [lay.vertex_at for lay in r.optimal_layouts]))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "6ae28cefe6d244afbe4e8d0e405498091b4cdde0c430c7c4b01eb11b3ecb4f2d"
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_dp_equals_scan_on_random_graphs(self, data):
+        n = data.draw(st.integers(2, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # lists, so parallel edges are drawn too
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * len(pairs)))
+        g = SimpleGraph(n, tuple(edges))
+        a = brute_force_ola(g, pruned=True)
+        b = brute_force_ola(g, pruned=False)
+        assert a.optimal_cost == b.optimal_cost
         assert a.optimal_count == b.optimal_count
         assert set(a.optimal_layouts) == set(b.optimal_layouts)
