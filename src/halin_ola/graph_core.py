@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleDetected, DisconnectedInput, DuplicateChild, InvalidSubstrate
@@ -54,12 +55,26 @@ def _normalize_pair(a: VertexId, b: VertexId) -> Tuple[VertexId, VertexId]:
 class EmbeddedTree:
     """Rooted tree with ordered (= plane-embedded) child lists.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction; safe for concurrent reads.  The preorder
+    in embedding order is computed once, at construction, and every
+    traversal reads it; ``build_embedded_tree`` checks the child lists
+    before that walk.
     """
 
     root: VertexId
     children: Tuple[Tuple[VertexId, ...], ...]
     parent: Tuple[Optional[VertexId], ...]
+    _preorder: Tuple[VertexId, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        children = self.children
+        order: List[VertexId] = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack += children[v][::-1]
+        object.__setattr__(self, "_preorder", tuple(order))
 
     @property
     def n(self) -> int:
@@ -85,27 +100,22 @@ class EmbeddedTree:
     def subtree_sizes(self) -> List[int]:
         """Size of the subtree rooted at each vertex (iterative postorder)."""
         size = [1] * self.n
-        for v in reversed(self.dfs_order()):
+        for v in reversed(self._preorder):
             for c in self.children[v]:
                 size[v] += size[c]
         return size
 
     def dfs_order(self) -> List[VertexId]:
         """Preorder traversal following child-list (embedding) order."""
-        order: List[VertexId] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        return order
+        return list(self._preorder)
 
     def subtree_heights(self) -> List[int]:
         """Height of the subtree rooted at each vertex, a leaf counting as 1."""
         height = [1] * self.n
-        for v in reversed(self.dfs_order()):
+        for v in reversed(self._preorder):
             for c in self.children[v]:
-                height[v] = max(height[v], height[c] + 1)
+                if height[c] >= height[v]:
+                    height[v] = height[c] + 1
         return height
 
     def height(self) -> int:
@@ -127,12 +137,10 @@ def build_embedded_tree(
             the root under a descendant).
         DisconnectedInput: some vertex is unreachable from the root.
     """
-    mentioned = {root}
-    for v, cs in child_lists.items():
-        mentioned.add(v)
-        mentioned.update(cs)
+    kids = chain.from_iterable(child_lists.values())
+    mentioned = set(chain((root,), child_lists, kids))
     n = len(mentioned)
-    if mentioned != set(range(n)):
+    if not all(map(mentioned.__contains__, range(n))):
         raise DisconnectedInput(
             f"vertex ids must be the contiguous range 0..{n - 1}, got {sorted(mentioned)}"
         )
@@ -152,27 +160,19 @@ def build_embedded_tree(
                 raise DuplicateChild(f"vertex {c} has two parents")
             parent[c] = v
 
-    # reachability doubles as the acyclicity check given n-1 parent links
-    seen = 1
-    stack = [root]
-    visited = [False] * n
-    visited[root] = True
-    while stack:
-        v = stack.pop()
-        for c in children[v]:
-            if not visited[c]:
-                visited[c] = True
-                seen += 1
-                stack.append(c)
-    if seen != n:
+    # with one parent per vertex and the root nobody's child, the preorder
+    # walk visits each vertex at most once; reaching all n doubles as the
+    # acyclicity check given n-1 parent links
+    tree = EmbeddedTree(root=root, children=tuple(children), parent=tuple(parent))
+    if len(tree._preorder) != n:
         raise DisconnectedInput("child lists do not connect every vertex to the root")
-
-    return EmbeddedTree(root=root, children=tuple(children), parent=tuple(parent))
+    return tree
 
 
 def leaves_in_embedding_order(tree: EmbeddedTree) -> List[VertexId]:
     """Leaves in depth-first, child-order (left-to-right) sequence."""
-    return [v for v in tree.dfs_order() if tree.is_leaf(v)]
+    children = tree.children
+    return [v for v in tree._preorder if not children[v]]
 
 
 def validate_halin_substrate(tree: EmbeddedTree) -> List[str]:
@@ -183,15 +183,14 @@ def validate_halin_substrate(tree: EmbeddedTree) -> List[str]:
     non-root vertex with >= 2 children.
     """
     violations = []
-    n_leaves = sum(1 for v in tree.vertices if tree.is_leaf(v))
+    children = tree.children
+    n_leaves = children.count(())
     if n_leaves < 3:
         violations.append(f"needs >= 3 leaves, has {n_leaves}")
-    if len(tree.children[tree.root]) < 3:
-        violations.append(
-            f"root has {len(tree.children[tree.root])} children, needs >= 3"
-        )
-    for v in tree.vertices:
-        if v != tree.root and tree.children[v] and len(tree.children[v]) < 2:
+    if len(children[tree.root]) < 3:
+        violations.append(f"root has {len(children[tree.root])} children, needs >= 3")
+    for v, cs in enumerate(children):
+        if len(cs) == 1 and v != tree.root:
             violations.append(f"internal vertex {v} has 1 child, needs >= 2")
     return violations
 

@@ -2,13 +2,16 @@
 
 Instance files store only the rooted plane tree; the leaf cycle is always
 recomputed from the embedding so files cannot carry an inconsistent cycle.
-Serialization is canonical (sorted keys, fixed indentation) so a
-parse/serialize round trip is byte-exact.
+Serialization is canonical, so a parse/serialize round trip is byte-exact:
+the bytes equal ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
+and the writers emit that format directly (``json`` encodes in pure Python
+once ``indent`` is set).  Integers in files are JSON integers, never booleans.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Dict, List, Optional
 
 from .errors import ParseError, SchemaVersionUnsupported
@@ -20,6 +23,7 @@ SCHEMA_VERSION = 1
 _INSTANCE_FIELDS = {"schemaVersion", "tree", "metadata"}
 _TREE_FIELDS = {"root", "children"}
 _LAYOUT_FIELDS = {"schemaVersion", "vertexAt"}
+_INT = {int}  # exact type: bool is a subclass of int but not a JSON integer
 
 
 def _load_json(data: bytes) -> object:
@@ -35,6 +39,8 @@ def _load_json(data: bytes) -> object:
 
 def _check_version(doc: dict):
     version = doc.get("schemaVersion")
+    if version == SCHEMA_VERSION and type(version) is not int:
+        raise ParseError(f"schemaVersion {version!r} is not an integer")
     if version != SCHEMA_VERSION:
         raise SchemaVersionUnsupported(
             f"schemaVersion {version!r} unsupported (expected {SCHEMA_VERSION})"
@@ -65,7 +71,7 @@ def parse_instance(data: bytes, strict: bool = True) -> HalinGraph:
     _check_fields(tree_doc, _TREE_FIELDS, "tree", strict)
     root = tree_doc.get("root")
     children_doc = tree_doc.get("children")
-    if not isinstance(root, int) or not isinstance(children_doc, dict):
+    if type(root) is not int or not isinstance(children_doc, dict):
         raise ParseError("'tree' needs integer 'root' and object 'children'")
     children: Dict[int, List[int]] = {}
     for key, kids in children_doc.items():
@@ -73,7 +79,9 @@ def parse_instance(data: bytes, strict: bool = True) -> HalinGraph:
             v = int(key)
         except ValueError as exc:
             raise ParseError(f"child-map key {key!r} is not an integer") from exc
-        if not isinstance(kids, list) or not all(isinstance(c, int) for c in kids):
+        if str(v) != key:
+            raise ParseError(f"child-map key {key!r} is not a canonical integer")
+        if type(kids) is not list or not set(map(type, kids)) <= _INT:
             raise ParseError(f"children of {key} must be an integer array")
         children[v] = kids
     return halin_from_tree(build_embedded_tree(root, children))
@@ -85,23 +93,32 @@ def instance_metadata(data: bytes) -> Optional[dict]:
     return doc.get("metadata") if isinstance(doc, dict) else None
 
 
+def _array_template(k: int, indent: str) -> str:
+    """%-template of k ints laid out as json.dumps(indent=2) does at ``indent``."""
+    if not k:
+        return "[]"
+    inner = ",\n  " + indent
+    return f"[{inner[1:]}{inner.join(['%d'] * k)}\n{indent}]"
+
+
 def serialize_instance(h: HalinGraph, metadata: Optional[dict] = None) -> bytes:
     """Canonical instance bytes: sorted keys, 2-space indent, trailing \\n."""
-    tree = h.tree
-    doc: dict = {
-        "schemaVersion": SCHEMA_VERSION,
-        "tree": {
-            "root": tree.root,
-            "children": {
-                str(v): list(tree.children[v])
-                for v in tree.vertices
-                if tree.children[v]
-            },
-        },
-    }
+    children = h.tree.children
+    internal = sorted([v for v, cs in enumerate(children) if cs], key=str)
+    # the child map is one %-template: one entry shape per child count
+    shape = {k: f'      "%d": {_array_template(k, "      ")}'
+             for k in set(map(len, children))}
+    cells: List[int] = []
+    for v in internal:
+        cells += (v, *children[v])
+    entries = ",\n".join([shape[len(children[v])] for v in internal]) % tuple(cells)
+    meta = ""
     if metadata is not None:
-        doc["metadata"] = metadata
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        meta = json.dumps(metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
+        meta = f'  "metadata": {meta},\n'
+    return (f'{{\n{meta}  "schemaVersion": {SCHEMA_VERSION},\n  "tree": {{\n'
+            f'    "children": {{\n{entries}\n    }},\n'
+            f'    "root": {h.tree.root}\n  }}\n}}\n').encode("utf-8")
 
 
 def parse_layout(data: bytes, strict: bool = True) -> Layout:
@@ -111,7 +128,7 @@ def parse_layout(data: bytes, strict: bool = True) -> Layout:
     _check_version(doc)
     _check_fields(doc, _LAYOUT_FIELDS, "layout", strict)
     arr = doc.get("vertexAt")
-    if not isinstance(arr, list) or not all(isinstance(v, int) for v in arr):
+    if type(arr) is not list or not set(map(type, arr)) <= _INT:
         raise ParseError("'vertexAt' must be an integer array")
     try:
         return Layout(tuple(arr))
@@ -120,8 +137,9 @@ def parse_layout(data: bytes, strict: bool = True) -> Layout:
 
 
 def serialize_layout(layout: Layout) -> bytes:
-    doc = {"schemaVersion": SCHEMA_VERSION, "vertexAt": list(layout.vertex_at)}
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    vertex_at = _array_template(layout.n, "  ") % layout.vertex_at
+    return (f'{{\n  "schemaVersion": {SCHEMA_VERSION},\n'
+            f'  "vertexAt": {vertex_at}\n}}\n').encode("utf-8")
 
 
 def export_dot(h: HalinGraph, layout: Optional[Layout] = None) -> str:
@@ -129,16 +147,19 @@ def export_dot(h: HalinGraph, layout: Optional[Layout] = None) -> str:
 
     With a layout, vertices are labeled "name:position".
     """
-    lines = ["graph halin {"]
-    for v in h.tree.vertices:
-        if layout is not None:
-            lines.append(f'  {v} [label="{v}:{layout.position(v)}"];')
-        else:
-            lines.append(f"  {v};")
-    for v in h.tree.vertices:
-        for c in h.tree.children[v]:
-            lines.append(f"  {min(v, c)} -- {max(v, c)} [style=dashed];")
-    for a, b in h.cycle_pairs():
-        lines.append(f"  {min(a, b)} -- {max(a, b)} [style=bold];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # each block is one %-format over a repeated line template, so no
+    # per-line strings are built
+    tree = h.tree
+    ids = tree.vertices
+    if layout is None:
+        out = ["  %d;\n" * tree.n % tuple(ids)]
+    else:
+        cells = chain.from_iterable(zip(ids, ids, layout.positions()))
+        out = ['  %d [label="%d:%d"];\n' * tree.n % tuple(cells)]
+    tree_pairs = ((v, c) for v, cs in enumerate(tree.children) for c in cs)
+    for style, pairs in (("dashed", tree_pairs), ("bold", h.cycle_pairs())):
+        ends: List[int] = []  # both endpoints of every edge, smaller id first
+        for a, b in pairs:
+            ends += (a, b) if a < b else (b, a)
+        out.append(f"  %d -- %d [style={style}];\n" * (len(ends) // 2) % tuple(ends))
+    return "graph halin {\n" + "".join(out) + "}\n"

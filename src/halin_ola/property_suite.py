@@ -18,40 +18,40 @@ from .errors import HalinOlaError
 from .generators import GenSpec
 from .graph_core import HalinGraph
 from .halin_arrange import halin_lower_bound
-from .layout_ops import Layout, is_of_type, la_total, spinal_decomposition
+from .layout_ops import (Layout, SpinalDecomposition, is_of_type, la_total,
+                         spinal_decomposition)
 from .tree_ola import brute_force_ola
 
 
 def check_subtree_contiguity(h: HalinGraph, layout: Layout) -> bool:
     """Spinal subtrees occupy contiguous position blocks in spine order."""
-    dec = spinal_decomposition(h, layout)
-    return is_of_type(layout, dec.subtrees)
+    return is_of_type(layout, spinal_decomposition(h, layout).subtrees)
 
 
 def check_spine_monotone(h: HalinGraph, layout: Layout) -> bool:
     """Positions strictly increase along the spinal path."""
-    dec = spinal_decomposition(h, layout)
+    return _spine_monotone(layout, spinal_decomposition(h, layout))
+
+
+def _spine_monotone(layout: Layout, dec: SpinalDecomposition) -> bool:
     pos = layout.positions()
     ps = [pos[w] for w in dec.path]
     return all(a < b for a, b in zip(ps, ps[1:]))
 
 
-def _branch_side_groups(h: HalinGraph, layout: Layout):
-    """Branches of each spinal vertex grouped by side of that vertex."""
-    dec = spinal_decomposition(h, layout)
+def _branch_side_groups(layout: Layout, dec: SpinalDecomposition):
+    """Left and right branches of each spinal vertex (straddling ones left out)."""
     pos = layout.positions()
     groups = []
     for w, branches in zip(dec.path, dec.branches):
-        left, right, straddling = [], [], []
+        left, right = [], []
         for br in branches:
             ps = [pos[v] for v in br.vertices]
             if max(ps) < pos[w]:
                 left.append(br)
             elif min(ps) > pos[w]:
                 right.append(br)
-            else:
-                straddling.append(br)
-        groups.append((w, left, right, straddling))
+        groups.append((left, right))
     return groups
 
 
@@ -60,11 +60,11 @@ def count_same_side_branch_pairs(h: HalinGraph, layout: Layout) -> int:
 
     Zero means the check passes vacuously for this layout.
     """
-    total = 0
-    for _w, left, right, _s in _branch_side_groups(h, layout):
-        total += len(left) * (len(left) - 1) // 2
-        total += len(right) * (len(right) - 1) // 2
-    return total
+    return _same_side_pairs(_branch_side_groups(layout, spinal_decomposition(h, layout)))
+
+
+def _same_side_pairs(groups) -> int:
+    return sum(len(side) * (len(side) - 1) // 2 for sides in groups for side in sides)
 
 
 def check_branch_non_overlap(h: HalinGraph, layout: Layout) -> bool:
@@ -73,9 +73,14 @@ def check_branch_non_overlap(h: HalinGraph, layout: Layout) -> bool:
     For every pair of branches on the same side of their spinal vertex, one
     must wholly precede the other (either order is fine).
     """
+    groups = _branch_side_groups(layout, spinal_decomposition(h, layout))
+    return _branches_disjoint(layout, groups)
+
+
+def _branches_disjoint(layout: Layout, groups) -> bool:
     pos = layout.positions()
-    for _w, left, right, _s in _branch_side_groups(h, layout):
-        for side in (left, right):
+    for sides in groups:
+        for side in sides:
             spans = sorted(
                 (min(pos[v] for v in br.vertices), max(pos[v] for v in br.vertices))
                 for br in side
@@ -255,16 +260,18 @@ def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
             for layout in oracle.optimal_layouts:
                 rep.optima_checked += 1
                 failed = []
-                if not check_subtree_contiguity(h, layout):
+                dec = spinal_decomposition(h, layout)  # shared by three checks
+                if not is_of_type(layout, dec.subtrees):
                     rep.contiguity_failures += 1
                     failed.append("contiguity")
-                if not check_spine_monotone(h, layout):
+                if not _spine_monotone(layout, dec):
                     rep.monotone_failures += 1
                     failed.append("monotone")
-                if not check_branch_non_overlap(h, layout):
+                groups = _branch_side_groups(layout, dec)
+                if not _branches_disjoint(layout, groups):
                     rep.branch_failures += 1
                     failed.append("branch-overlap")
-                elif count_same_side_branch_pairs(h, layout) == 0:
+                elif _same_side_pairs(groups) == 0:
                     rep.branch_vacuous_passes += 1
                 verdict = check_extremes_are_leaves(h, layout)
                 if verdict is ExtremesVerdict.VIOLATION:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NotRecursivelyBalanced, TooLarge
+from .errors import HalinOlaError, NotRecursivelyBalanced, TooLarge
 from .graph_core import Edge, EdgeKind, EmbeddedTree, VertexId
 from .layout_ops import Layout
 
@@ -61,7 +61,9 @@ def central_vertex(tree: EmbeddedTree) -> VertexId:
         if best_key is None or key < best_key:
             best_key = key
             best_v = v
-    assert best_key[0] <= n // 2
+    if best_key[0] > n // 2:
+        raise HalinOlaError(f"centroid check failed: vertex {best_v} leaves a "
+                            f"component of {best_key[0]} > {n // 2} vertices")
     return best_v
 
 
@@ -84,21 +86,20 @@ class VisitCounter:
 def is_recursively_balanced(tree: EmbeddedTree,
                             stats: Optional[VisitCounter] = None) -> RbtCertificate:
     """Check that every internal vertex heads equal-size balanced subtrees."""
-    order = tree.dfs_order()
-    if stats is not None:
-        stats.touches += len(order)
     n = tree.n
+    if stats is not None:
+        stats.touches += 2 * n  # the preorder, then one visit per vertex
+    children = tree.children
     size = [1] * n
     balanced = [True] * n
-    for v in reversed(order):
-        if stats is not None:
-            stats.touches += 1
-        cs = tree.children[v]
-        if not cs:
-            continue
-        sizes = [size[c] for c in cs]
-        size[v] += sum(sizes)
-        balanced[v] = all(balanced[c] for c in cs) and len(set(sizes)) == 1
+    for v in reversed(tree._preorder):
+        cs = children[v]
+        if cs:
+            first = size[cs[0]]
+            for c in cs:
+                size[v] += size[c]
+                if size[c] != first or not balanced[c]:
+                    balanced[v] = False
     return RbtCertificate(
         subtree_size=tuple(size), balanced=tuple(balanced), verdict=balanced[tree.root]
     )

@@ -1,14 +1,20 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halin_ola import (
     InvalidSubstrate,
     Layout,
     ParseError,
     SchemaVersionUnsupported,
+    build_embedded_tree,
     export_dot,
+    gen_random_halin,
     gen_wheel,
+    halin_from_tree,
     instance_metadata,
     parse_instance,
     parse_layout,
@@ -60,6 +66,113 @@ class TestInstanceFormat:
         ).encode()
         with pytest.raises(InvalidSubstrate):
             parse_instance(data)
+
+
+def _instance_bytes(tree=None, version=1) -> bytes:
+    tree = {"root": 0, "children": {"0": [1, 2, 3]}} if tree is None else tree
+    return json.dumps({"schemaVersion": version, "tree": tree}).encode()
+
+
+class TestStrictIntegers:
+    """Booleans are not integers, and child-map keys must be canonical."""
+
+    BAD_INSTANCES = {
+        "schema-version-true": _instance_bytes(version=True),
+        "root-true": _instance_bytes({"root": True, "children": {"1": [0, 2, 3]}}),
+        "child-true": _instance_bytes({"root": 0, "children": {"0": [1, 2, True]}}),
+        "keys-0-and-00": _instance_bytes(
+            {"root": 0, "children": {"0": [1, 2, 3], "00": [4, 5]}}),
+        "key-space-0": _instance_bytes(
+            {"root": 0, "children": {"0": [1, 2, 3], " 0": [3, 2, 1]}}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+    def test_instance_rejected(self, case, tmp_path):
+        data = self.BAD_INSTANCES[case]
+        with pytest.raises(ParseError):
+            parse_instance(data)
+        inst = tmp_path / "bad.json"
+        inst.write_bytes(data)
+        assert main(["export-dot", "-i", str(inst), "-o", str(tmp_path / "x.dot")]) == 2
+
+    def test_vertex_at_booleans_rejected(self, tmp_path):
+        data = b'{"schemaVersion": 1, "vertexAt": [true, false]}'
+        with pytest.raises(ParseError):
+            parse_layout(data)
+        with pytest.raises(ParseError):
+            parse_layout(b'{"schemaVersion": true, "vertexAt": [1, 0]}')
+        inst = tmp_path / "w.json"
+        lay = tmp_path / "w.layout.json"
+        inst.write_bytes(serialize_instance(gen_wheel(3)))
+        lay.write_bytes(data)
+        assert main(["cost", "-i", str(inst), "-l", str(lay)]) == 2
+
+
+def _relabeled_halin(data, max_n):
+    """A random Halin graph under a random relabelling of its vertices."""
+    h = gen_random_halin(data.draw(st.integers(4, max_n)),
+                         seed=data.draw(st.integers(0, 10**6)))
+    perm = data.draw(st.permutations(list(h.tree.vertices)))
+    children = {perm[v]: [perm[c] for c in cs]
+                for v, cs in enumerate(h.tree.children) if cs}
+    return halin_from_tree(build_embedded_tree(perm[h.tree.root], children))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _reference_dot(h, layout=None) -> str:
+    lines = ["graph halin {"]
+    for v in range(h.n):
+        lines.append(f"  {v};" if layout is None else f'  {v} [label="{v}:{layout.position(v)}"];')
+    for v in range(h.n):
+        for c in h.tree.children[v]:
+            lines.append(f"  {min(v, c)} -- {max(v, c)} [style=dashed];")
+    ring = h.cycle_order
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        lines.append(f"  {min(a, b)} -- {max(a, b)} [style=bold];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestCanonicalWriters:
+    """The direct writers emit exactly what json.dumps(indent=2) would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_serializers_equal_json_dumps(self, data):
+        h = _relabeled_halin(data, 300)
+        metadata = data.draw(st.none() | st.dictionaries(st.text(max_size=6), _json_values))
+        doc = {"schemaVersion": 1, "tree": {
+            "root": h.tree.root,
+            "children": {str(v): list(cs) for v, cs in enumerate(h.tree.children) if cs},
+        }}
+        if metadata is not None:
+            doc["metadata"] = metadata
+        want = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        assert serialize_instance(h, metadata=metadata) == want
+        assert parse_instance(want) == h
+        order = list(h.tree.vertices)
+        random.Random(data.draw(st.integers(0, 99))).shuffle(order)
+        lay = Layout(tuple(order))
+        want = {"schemaVersion": 1, "vertexAt": order}
+        assert serialize_layout(lay) == (json.dumps(want, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_empty_layout(self):
+        assert serialize_layout(Layout(())) == b'{\n  "schemaVersion": 1,\n  "vertexAt": []\n}\n'
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dot_equals_reference(self, data):
+        h = _relabeled_halin(data, 300)
+        lay = Layout(tuple(data.draw(st.permutations(list(h.tree.vertices)))))
+        assert export_dot(h) == _reference_dot(h)
+        assert export_dot(h, lay) == _reference_dot(h, lay)
 
 
 class TestLayoutFormat:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halin_ola import (
     CycleDetected,
@@ -8,6 +10,7 @@ from halin_ola import (
     EdgeKind,
     InvalidSubstrate,
     build_embedded_tree,
+    gen_random_halin,
     halin_from_tree,
     leaves_in_embedding_order,
     validate_halin_substrate,
@@ -66,6 +69,26 @@ class TestBuildEmbeddedTree:
     def test_dfs_order_is_embedding_preorder(self):
         t = tri_star()
         assert t.dfs_order() == [0, 1, 4, 5, 2, 6, 7, 3, 8, 9]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dfs_order_matches_stack_walk(self, data):
+        h = gen_random_halin(data.draw(st.integers(4, 300)),
+                             seed=data.draw(st.integers(0, 10**6)))
+        perm = data.draw(st.permutations(list(h.tree.vertices)))
+        t = build_embedded_tree(perm[h.tree.root], {
+            perm[v]: [perm[c] for c in cs] for v, cs in enumerate(h.tree.children)})
+        expected, stack = [], [t.root]
+        while stack:
+            v = stack.pop()
+            expected.append(v)
+            stack.extend(reversed(t.children[v]))
+        order = t.dfs_order()
+        assert order == expected
+        order.reverse()
+        order.append(-1)
+        assert t.dfs_order() == expected
+        assert leaves_in_embedding_order(t) == [v for v in expected if not t.children[v]]
 
     def test_subtree_sizes(self):
         t = tri_star()

@@ -10,6 +10,7 @@ from halin_ola import (
     gen_wheel,
     run_suite,
 )
+from halin_ola import property_suite
 from halin_ola.generators import GenSpec
 from halin_ola.property_suite import count_same_side_branch_pairs
 
@@ -112,3 +113,18 @@ class TestRunSuite:
         doc = json.loads(json.dumps(run_suite(corpus).to_jsonable()))
         assert doc["allPassed"] is True
         assert doc["instances"][0]["optimaChecked"] == 24
+
+
+def test_run_suite_decomposes_each_optimum_once(monkeypatch):
+    calls = []
+    real = property_suite.spinal_decomposition
+
+    def counted(h, layout):
+        calls.append(layout)
+        return real(h, layout)
+
+    monkeypatch.setattr(property_suite, "spinal_decomposition", counted)
+    corpus = [(GenSpec("wheel", (("spokes", s),)), gen_wheel(s)) for s in (4, 5)]
+    report = run_suite(corpus)
+    assert report.all_passed
+    assert len(calls) == sum(e.optima_checked for e in report.entries) > 0

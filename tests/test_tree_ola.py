@@ -1,10 +1,16 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import halin_ola
 from halin_ola import (
     NotRecursivelyBalanced,
     SimpleGraph,
@@ -15,6 +21,8 @@ from halin_ola import (
     central_vertex,
     complete_graph,
     cycle_graph,
+    gen_caterpillar_halin,
+    gen_kary_rbt_halin,
     gen_wheel,
     is_recursively_balanced,
     la_total,
@@ -49,6 +57,28 @@ class TestCentralVertex:
 
     def test_single_vertex(self):
         assert central_vertex(build_embedded_tree(0, {})) == 0
+
+    def test_check_raises_under_optimize(self):
+        # the centroid bound must not be an assert: under -O a broken
+        # selection would otherwise return a vertex that is no centroid
+        script = textwrap.dedent("""
+            import sys
+            from halin_ola import HalinOlaError, central_vertex, gen_wheel, tree_ola
+            if __debug__:
+                sys.exit("not running under -O")
+            tree_ola.max = lambda comps, default: 99  # every component "too big"
+            try:
+                central_vertex(gen_wheel(5).tree)
+            except HalinOlaError:
+                sys.exit(0)
+            sys.exit("wrong centroid returned without an error")
+        """)
+        src = str(Path(halin_ola.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_components_bounded(self):
         for tree in (path(9), star(6), tri_star()):
@@ -112,6 +142,24 @@ class TestRbtOla:
     def test_rejects_non_rbt(self):
         with pytest.raises(NotRecursivelyBalanced):
             rbt_ola(build_embedded_tree(0, {0: [1, 2], 1: [3]}))
+
+    def test_certificate_and_touches_pinned(self):
+        tree = gen_kary_rbt_halin(3, 2, 4).tree
+        stats = VisitCounter()
+        cert = is_recursively_balanced(tree, stats=stats)
+        assert cert.subtree_size == (
+            46, 15, 15, 15, 7, 7, 3, 3, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 7, 7, 3, 3, 1,
+            1, 1, 1, 3, 3, 1, 1, 1, 1, 7, 7, 3, 3, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1)
+        assert cert.balanced == (True,) * 46 and cert.verdict
+        assert stats.touches == 92
+        stats = VisitCounter()
+        rbt_ola(tree, stats=stats)
+        assert stats.touches == 138
+        stats = VisitCounter()
+        cert = is_recursively_balanced(gen_caterpillar_halin(3, [2, 1, 2]).tree, stats=stats)
+        assert cert.subtree_size == (8, 5, 3, 1, 1, 1, 1, 1)
+        assert cert.balanced == (False, False, True, True, True, True, True, True)
+        assert not cert.verdict and stats.touches == 16
 
     def test_visit_counter_linear(self):
         tree = tri_star()
