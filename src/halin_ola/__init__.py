@@ -24,8 +24,6 @@ from .errors import (
     TooLarge,
 )
 from .graph_core import (
-    Edge,
-    EdgeKind,
     EmbeddedTree,
     HalinGraph,
     VertexId,

@@ -19,24 +19,19 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (
     BadParam,
     HalinOlaError,
-    InvalidSubstrate,
     NotRecursivelyBalanced,
     NotTreeOptimalInput,
     ParseError,
-    SchemaVersionUnsupported,
     TooLarge,
 )
-from .generators import (
-    GenSpec,
-    caterpillar_spec,
-    gen_caterpillar_halin,
-    gen_kary_rbt_halin,
-    gen_random_halin,
-    gen_wheel,
-    standard_corpus,
-)
+from .generators import GenSpec, caterpillar_spec, generate, standard_corpus
 from .graph_core import HalinGraph
-from .halin_arrange import certify, direct_rbt_halin_ola, rearrange_to_halin_ola
+from .halin_arrange import (
+    certify,
+    direct_rbt_halin_ola,
+    halin_lower_bound,
+    rearrange_to_halin_ola,
+)
 from .io_formats import (
     export_dot,
     parse_instance,
@@ -68,8 +63,8 @@ def _write(path: str, data: bytes):
         f.write(data)
 
 
-def _load_instance(path: str, strict: bool = True) -> HalinGraph:
-    return parse_instance(_read(path), strict=strict)
+def _load_instance(path: str) -> HalinGraph:
+    return parse_instance(_read(path))
 
 
 def _load_layout(path: str, h: HalinGraph) -> Layout:
@@ -83,30 +78,28 @@ def _load_layout(path: str, h: HalinGraph) -> Layout:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+# the gen options each family requires, as its usage error lists them
+_GEN_OPTIONS = {"wheel": ("spokes",), "kary": ("k", "c", "h"),
+                "caterpillar": ("spine", "leaves"), "random": ("n",)}
+
+# the proptest --corpus entry grammar, by family
+_CORPUS_ENTRY = {"wheel": "wheel=S or wheel=LO..HI", "kary": "kary=K,C,H",
+                 "caterpillar": "caterpillar=SPINE:L0,L1,...",
+                 "random": "random=N[,COUNT[,SEED0]]"}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "wheel":
-        if args.spokes is None:
-            raise _Usage("gen --family wheel requires --spokes")
-        h = gen_wheel(args.spokes)
-        spec = GenSpec("wheel", (("spokes", args.spokes),))
-    elif args.family == "kary":
-        if None in (args.k, args.c, args.h):
-            raise _Usage("gen --family kary requires --k, --c and --h")
-        h = gen_kary_rbt_halin(args.k, args.c, args.h)
-        spec = GenSpec("kary", (("k", args.k), ("c", args.c), ("h", args.h)))
-    elif args.family == "caterpillar":
-        if args.spine is None or args.leaves is None:
-            raise _Usage("gen --family caterpillar requires --spine and --leaves")
-        counts = _int_list(args.leaves)
-        h = gen_caterpillar_halin(args.spine, counts)
-        spec = caterpillar_spec(args.spine, counts)
-    elif args.family == "random":
-        if args.n is None:
-            raise _Usage("gen --family random requires --n")
-        h = gen_random_halin(args.n, args.seed)
-        spec = GenSpec("random", (("n", args.n),), seed=args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        raise _Usage(f"unknown family {args.family!r}")
+    names = _GEN_OPTIONS[args.family]
+    if any(getattr(args, name) is None for name in names):
+        flags = [f"--{name}" for name in names]
+        listed = ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
+        raise _Usage(f"gen --family {args.family} requires {listed}")
+    if args.family == "caterpillar":
+        spec = caterpillar_spec(args.spine, _int_list(args.leaves))
+    else:
+        params = tuple((name, getattr(args, name)) for name in names)
+        spec = GenSpec(args.family, params, seed=args.seed if args.family == "random" else 0)
+    h = generate(spec)
     metadata = {"genSpec": spec.to_jsonable()}
     _write(args.output, serialize_instance(h, metadata=metadata))
     print(f"wrote {args.output}: n={h.n}, m={h.m}")
@@ -176,7 +169,7 @@ def _cmd_bound(args) -> int:
         tree_opt = args.tree_opt
     else:
         tree_opt = _tree_optimum(h, args.oracle)
-    print(2 * (h.n - 1) + tree_opt)
+    print(halin_lower_bound(h, tree_opt))
     return 0
 
 
@@ -204,6 +197,24 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _corpus_entry(family: str, argtext: str) -> List[GenSpec]:
+    """The GenSpecs of one corpus entry; ValueError when it is malformed."""
+    if family == "wheel":
+        lo, dots, hi = argtext.partition("..")
+        spokes = range(int(lo), int(hi if dots else lo) + 1)
+        return [GenSpec("wheel", (("spokes", s),)) for s in spokes]
+    if family == "caterpillar":
+        spine, leaves = argtext.split(":", 1)
+        return [caterpillar_spec(int(spine), _int_list(leaves))]
+    vals = _int_list(argtext)
+    if family == "kary":
+        k, c, hh = vals
+        return [GenSpec("kary", (("k", k), ("c", c), ("h", hh)))]
+    # COUNT defaults to 1 and SEED0 to 0, but SEED0 to 1 after an explicit COUNT
+    n, count, seed0 = vals + [1, 0][:3 - len(vals)]
+    return [GenSpec("random", (("n", n),), seed=seed0 + i) for i in range(count)]
+
+
 def _parse_corpus(spec_text: str) -> List[Tuple[GenSpec, HalinGraph]]:
     if spec_text == "standard":
         return standard_corpus()
@@ -215,33 +226,14 @@ def _parse_corpus(spec_text: str) -> List[Tuple[GenSpec, HalinGraph]]:
         if "=" not in chunk:
             raise _Usage(f"bad corpus entry {chunk!r} (expected family=args)")
         family, argtext = chunk.split("=", 1)
-        if family == "wheel":
-            if ".." in argtext:
-                lo, hi = (int(x) for x in argtext.split(".."))
-                spokes_range = range(lo, hi + 1)
-            else:
-                spokes_range = [int(argtext)]
-            for s in spokes_range:
-                corpus.append((GenSpec("wheel", (("spokes", s),)), gen_wheel(s)))
-        elif family == "kary":
-            k, c, hh = _int_list(argtext)
-            spec = GenSpec("kary", (("k", k), ("c", c), ("h", hh)))
-            corpus.append((spec, gen_kary_rbt_halin(k, c, hh)))
-        elif family == "caterpillar":
-            spine_text, leaves_text = argtext.split(":", 1)
-            spine = int(spine_text)
-            counts = _int_list(leaves_text)
-            corpus.append(
-                (caterpillar_spec(spine, counts), gen_caterpillar_halin(spine, counts))
-            )
-        elif family == "random":
-            vals = _int_list(argtext)
-            n, count, seed0 = (vals + [1, 0])[:3]
-            for i in range(count):
-                spec = GenSpec("random", (("n", n),), seed=seed0 + i)
-                corpus.append((spec, gen_random_halin(n, seed0 + i)))
-        else:
+        if family not in _CORPUS_ENTRY:
             raise _Usage(f"unknown corpus family {family!r}")
+        try:
+            specs = _corpus_entry(family, argtext)
+        except ValueError:
+            raise _Usage(f"bad corpus entry {chunk!r} "
+                         f"(expected {_CORPUS_ENTRY[family]})") from None
+        corpus += [(spec, generate(spec)) for spec in specs]
     if not corpus:
         raise _Usage("empty corpus")
     return corpus
@@ -322,8 +314,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("proptest", help="run the structural property suite")
     p.add_argument("--corpus", default="standard",
-                   help='"standard" or entries like '
-                        '"wheel=3..8;caterpillar=2:2,2;random=7,5,100"')
+                   help='"standard", or ";"-separated entries, each one of '
+                        + ", ".join(_CORPUS_ENTRY.values())
+                        + ' (e.g. "wheel=3..8;caterpillar=2:2,2;random=7,5,100")')
     p.add_argument("--oracle-limit", type=int, default=10)
     p.set_defaults(func=_cmd_proptest)
 
@@ -355,16 +348,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         as_json = args.json
         return args.func(args)
-    except _Usage as exc:
+    except (_Usage, BadParam, NotRecursivelyBalanced, NotTreeOptimalInput,
+            TooLarge) as exc:
         _emit_error(exc, as_json, 1)
         return 1
-    except (BadParam, NotRecursivelyBalanced, NotTreeOptimalInput, TooLarge) as exc:
-        _emit_error(exc, as_json, 1)
-        return 1
-    except (ParseError, SchemaVersionUnsupported, InvalidSubstrate, OSError) as exc:
-        _emit_error(exc, as_json, 2)
-        return 2
-    except HalinOlaError as exc:
+    except (HalinOlaError, OSError) as exc:
         _emit_error(exc, as_json, 2)
         return 2
 

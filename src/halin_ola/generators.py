@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import product
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadParam
-from .graph_core import EmbeddedTree, HalinGraph, build_embedded_tree, halin_from_tree
+from .graph_core import HalinGraph, build_embedded_tree, halin_from_tree
 
 
 @dataclass(frozen=True)
@@ -134,17 +135,28 @@ def gen_random_halin(n_target: int, seed: int) -> HalinGraph:
 
 
 def generate(spec: GenSpec) -> HalinGraph:
-    """Dispatch a GenSpec to its family generator."""
+    """Build the instance a GenSpec describes: the one family dispatcher.
+
+    A caterpillar spec lists its leaf counts as ``l0, l1, ...`` after
+    ``spine``.  Raises BadParam for an unknown family, a missing parameter,
+    or parameters the family generator rejects.
+    """
     params = dict(spec.params)
+
+    def param(name: str) -> int:
+        if name not in params:
+            raise BadParam(f"{spec.family} spec lacks parameter {name!r}")
+        return params[name]
+
     if spec.family == "wheel":
-        return gen_wheel(params["spokes"])
+        return gen_wheel(param("spokes"))
     if spec.family == "kary":
-        return gen_kary_rbt_halin(params["k"], params["c"], params["h"])
+        return gen_kary_rbt_halin(param("k"), param("c"), param("h"))
     if spec.family == "caterpillar":
-        counts = [params[f"l{i}"] for i in range(params["spine"])]
-        return gen_caterpillar_halin(params["spine"], counts)
+        leaves = [param(f"l{i}") for i in range(len(params) - 1)]
+        return gen_caterpillar_halin(param("spine"), leaves)
     if spec.family == "random":
-        return gen_random_halin(params["n"], spec.seed)
+        return gen_random_halin(param("n"), spec.seed)
     raise BadParam(f"unknown family {spec.family!r}")
 
 
@@ -154,37 +166,27 @@ def caterpillar_spec(spine: int, counts: Sequence[int]) -> GenSpec:
 
 
 def all_caterpillar_halins_up_to(n_max: int) -> List[Tuple[GenSpec, HalinGraph]]:
-    """Every caterpillar Halin instance with at most ``n_max`` vertices."""
+    """Every caterpillar Halin instance with at most ``n_max`` vertices.
+
+    By spine length, then leaf counts in lexicographic order.
+    """
     out = []
     for spine in range(1, n_max):
-        mins = [3] if spine == 1 else [
-            2 if i in (0, spine - 1) else 1 for i in range(spine)
-        ]
-        budget = n_max - spine
-
-        def assign(i: int, left: int, acc: List[int]):
-            if i == len(mins):
-                spec = caterpillar_spec(spine, acc)
-                out.append((spec, gen_caterpillar_halin(spine, acc)))
-                return
-            lo = mins[i]
-            hi = left - sum(mins[i + 1:])
-            for cnt in range(lo, hi + 1):
-                assign(i + 1, left - cnt, acc + [cnt])
-
-        if sum(mins) <= budget:
-            assign(0, budget, [])
+        mins = [3] if spine == 1 else [2] + [1] * (spine - 2) + [2]
+        slack = n_max - spine - sum(mins)  # leaves to spread beyond the minimum
+        for counts in product(*(range(m, m + slack + 1) for m in mins)):
+            if sum(counts) - sum(mins) <= slack:
+                spec = caterpillar_spec(spine, counts)
+                out.append((spec, generate(spec)))
     return out
 
 
 def standard_corpus(n_random: int = 50, random_n_target: int = 7,
                     seed0: int = 1000) -> List[Tuple[GenSpec, HalinGraph]]:
     """The evaluation corpus: wheels 3-8, all caterpillars n<=9, random n<=9."""
-    corpus: List[Tuple[GenSpec, HalinGraph]] = []
-    for spokes in range(3, 9):
-        corpus.append((GenSpec("wheel", (("spokes", spokes),)), gen_wheel(spokes)))
-    corpus.extend(all_caterpillar_halins_up_to(9))
-    for i in range(n_random):
-        spec = GenSpec("random", (("n", random_n_target),), seed=seed0 + i)
-        corpus.append((spec, gen_random_halin(random_n_target, seed0 + i)))
-    return corpus
+    wheels = [GenSpec("wheel", (("spokes", s),)) for s in range(3, 9)]
+    randoms = [GenSpec("random", (("n", random_n_target),), seed=seed0 + i)
+               for i in range(n_random)]
+    return ([(spec, generate(spec)) for spec in wheels]
+            + all_caterpillar_halins_up_to(9)
+            + [(spec, generate(spec)) for spec in randoms])

@@ -9,46 +9,12 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CycleDetected, DisconnectedInput, DuplicateChild, InvalidSubstrate
 
 VertexId = int
-
-
-class EdgeKind(Enum):
-    TREE = "tree"
-    CYCLE = "cycle"
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Unordered vertex pair; endpoints are stored normalized (u < v)."""
-
-    u: VertexId
-    v: VertexId
-    kind: EdgeKind
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError("self-loop")
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-
-    @property
-    def endpoints(self) -> Tuple[VertexId, VertexId]:
-        return (self.u, self.v)
-
-    def other(self, w: VertexId) -> VertexId:
-        return self.v if w == self.u else self.u
-
-
-def _normalize_pair(a: VertexId, b: VertexId) -> Tuple[VertexId, VertexId]:
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -90,12 +56,10 @@ class EmbeddedTree:
     def degree(self, v: VertexId) -> int:
         return len(self.children[v]) + (0 if v == self.root else 1)
 
-    def edges(self) -> List[Edge]:
-        return [
-            Edge(*_normalize_pair(v, c), kind=EdgeKind.TREE)
-            for v in self.vertices
-            for c in self.children[v]
-        ]
+    def edges(self) -> List[Tuple[VertexId, VertexId]]:
+        """Parent-child vertex pairs, smaller id first, by parent id."""
+        return [(v, c) if v < c else (c, v)
+                for v, cs in enumerate(self.children) for c in cs]
 
     def subtree_sizes(self) -> List[int]:
         """Size of the subtree rooted at each vertex (iterative postorder)."""
@@ -210,22 +174,15 @@ class HalinGraph:
     def m(self) -> int:
         return self.n - 1 + len(self.cycle_order)
 
-    def tree_edges(self) -> List[Edge]:
-        return self.tree.edges()
-
     def cycle_pairs(self) -> List[Tuple[VertexId, VertexId]]:
         """Consecutive leaves of the cycle, closed by the pair (last, first)."""
         ring = self.cycle_order
         return list(zip(ring, ring[1:] + ring[:1]))
 
-    def cycle_edges(self) -> List[Edge]:
-        return [
-            Edge(*_normalize_pair(a, b), kind=EdgeKind.CYCLE)
-            for a, b in self.cycle_pairs()
-        ]
-
-    def edges(self) -> List[Edge]:
-        return self.tree_edges() + self.cycle_edges()
+    def edges(self) -> List[Tuple[VertexId, VertexId]]:
+        """Vertex pairs, smaller id first: the tree's edges, then the cycle's."""
+        return self.tree.edges() + [(a, b) if a < b else (b, a)
+                                    for a, b in self.cycle_pairs()]
 
     def degree(self, v: VertexId) -> int:
         return self.tree.degree(v) + (2 if self.tree.is_leaf(v) else 0)

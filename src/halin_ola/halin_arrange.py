@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import HalinOlaError, NotContiguous, NotRbt, NotTreeOptimalInput
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
@@ -146,7 +146,7 @@ def replay_trace(tree: EmbeddedTree, start: Layout, trace: SwapTrace) -> Layout:
 # ---------------------------------------------------------------------------
 
 class _BlockEngine:
-    """Mutable order/position arrays plus equal-size block slot operations.
+    """A mutable vertex order and the top-down walk over child slots.
 
     A node's child subtrees occupy equal-size contiguous slots around the
     node's own position.  Exchanging two same-side slots never changes the
@@ -157,69 +157,68 @@ class _BlockEngine:
     def __init__(self, tree: EmbeddedTree, layout: Layout):
         self.tree = tree
         self.order: List[VertexId] = list(layout.vertex_at)
-        self.pos: List[int] = [0] * tree.n
-        for i, v in enumerate(self.order):
-            self.pos[v] = i + 1
         self.moved = 0
 
     def layout(self) -> Layout:
         return Layout(tuple(self.order))
 
-    def child_owning(self, v: VertexId, u: VertexId) -> VertexId:
-        """The child of v whose subtree contains u."""
-        parent = self.tree.parent
-        while parent[u] != v:
-            u = parent[u]
-            if u is None:
-                raise NotContiguous(f"vertex not below {v}")
-        return u
+    def walk(self, plan, size: List[int]) -> list:
+        """Exchange child slots top-down, node by node, as ``plan`` says.
 
-    def swap_slots(self, lo_a: int, lo_b: int, s: int, reverse_pair: bool):
-        """Exchange the s-vertex blocks starting at positions lo_a, lo_b."""
-        order, pos = self.order, self.pos
-        seg_a = order[lo_a - 1: lo_a - 1 + s]
-        seg_b = order[lo_b - 1: lo_b - 1 + s]
-        if reverse_pair:
-            seg_a.reverse()
-            seg_b.reverse()
-        order[lo_a - 1: lo_a - 1 + s] = seg_b
-        order[lo_b - 1: lo_b - 1 + s] = seg_a
-        for i, v in enumerate(seg_b):
-            pos[v] = lo_a + i
-        for i, v in enumerate(seg_a):
-            pos[v] = lo_b + i
-        self.moved += 2 * s
+        At each internal node v, ``plan(v, occupants)`` yields slot pairs
+        (j, jt) to exchange in turn; ``occupants`` (the child in each slot)
+        is updated after each exchange.  A cross-side exchange also reverses
+        both blocks.  The walk then descends into the occupants in slot
+        order.  Returns (v, child leaving slot j, child entering it,
+        reversed) per exchange, in order.
 
-    def slot_map(self, v: VertexId, lo: int, hi: int, size: List[int]):
-        """Slot geometry of v's children inside v's block [lo, hi].
-
-        Returns (slot_starts, occupants, left_count).  Raises NotContiguous
-        when the block is not partitioned into equal child slots around v —
-        i.e. the layout is not a block-structured tree optimum.
+        Raises NotContiguous when a node's block is not partitioned into
+        equal child slots around it, i.e. the layout is not a
+        block-structured tree optimum.
         """
-        cs = self.tree.children[v]
-        k = len(cs)
-        s = (size[v] - 1) // k
-        p = self.pos[v]
-        if hi - lo + 1 != size[v] or (p - lo) % s != 0:
-            raise NotContiguous(
-                f"subtree of {v} does not split into equal blocks around it"
-            )
-        a = (p - lo) // s
-        if not (0 <= a <= k) or (hi - p) != (k - a) * s:
-            raise NotContiguous(
-                f"subtree of {v} does not split into equal blocks around it"
-            )
-        starts = [lo + j * s if j < a else p + 1 + (j - a) * s for j in range(k)]
-        occupants = []
-        for st in starts:
-            c = self.child_owning(v, self.order[st - 1])
-            if size[c] != s:
-                raise NotContiguous(f"child block sizes differ under {v}")
-            occupants.append(c)
-        if len(set(occupants)) != k:
-            raise NotContiguous(f"child blocks interleave under {v}")
-        return starts, occupants, a
+        children, parent, order = self.tree.children, self.tree.parent, self.order
+        exchanges = []
+        stack = [(self.tree.root, 0)]
+        while stack:
+            v, lo = stack.pop()
+            k = len(children[v])
+            if not k:
+                continue
+            # v's block is order[lo:hi]: k slots of s vertices, a of them left of v
+            hi = lo + size[v]
+            s = (size[v] - 1) // k
+            try:
+                p = order.index(v, lo, hi)
+            except ValueError:
+                p = hi  # v lies outside its own block
+            a, off = divmod(p - lo, s)
+            if off or not 0 <= a <= k or hi - 1 - p != (k - a) * s:
+                raise NotContiguous(
+                    f"subtree of {v} does not split into equal blocks around it"
+                )
+            starts = [*range(lo, p, s), *range(p + 1, hi, s)]
+            occupants = []
+            for st in starts:
+                c = order[st]  # climb to the child of v above the slot's first vertex
+                while parent[c] != v:
+                    c = parent[c]
+                    if c is None:
+                        raise NotContiguous(f"vertex not below {v}")
+                if size[c] != s:
+                    raise NotContiguous(f"child block sizes differ under {v}")
+                occupants.append(c)
+            if len(set(occupants)) != k:
+                raise NotContiguous(f"child blocks interleave under {v}")
+            for j, jt in plan(v, occupants):
+                cross = (j < a) != (jt < a)
+                d = -1 if cross else 1
+                x, y = starts[j], starts[jt]
+                order[x:x + s], order[y:y + s] = order[y:y + s][::d], order[x:x + s][::d]
+                self.moved += 2 * s
+                exchanges.append((v, occupants[j], occupants[jt], cross))
+                occupants[j], occupants[jt] = occupants[jt], occupants[j]
+            stack += zip(reversed(occupants), reversed(starts))
+        return exchanges
 
 
 def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, SwapTrace]:
@@ -249,44 +248,22 @@ def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, 
     size = tree.subtree_sizes()
     heights = tree.subtree_heights()
     engine = _BlockEngine(tree, tree_layout)
-    steps: List[SwapStep] = []
 
-    def arrange(v: VertexId, lo: int, hi: int, want_rev: bool,
-                target: Optional[List[VertexId]] = None):
+    def sort_toward_reversed(v: VertexId, occupants: List[VertexId]):
+        # selection sort into reversed embedding order (at the root, the
+        # rotation of it that keeps the leftmost block in place).  The order
+        # is absolute, so below a reversed block each node sorts what it finds
         cs = tree.children[v]
-        if not cs:
-            return
-        k = len(cs)
-        s = (size[v] - 1) // k
-        starts, occupants, a = engine.slot_map(v, lo, hi, size)
-        if target is None:
-            target = list(reversed(cs)) if want_rev else list(cs)
+        j0 = cs.index(occupants[0]) if v == tree.root else -1
         slot_of = {c: j for j, c in enumerate(occupants)}
-        for j in range(k):
-            want = target[j]
-            if occupants[j] == want:
-                continue
-            jt = slot_of[want]
-            cross = (j < a) != (jt < a)
-            engine.swap_slots(starts[j], starts[jt], s, reverse_pair=cross)
-            steps.append(SwapStep(heights[v], occupants[j], want, cross))
-            other = occupants[j]
-            occupants[j], occupants[jt] = want, other
-            slot_of[want], slot_of[other] = j, jt
-        # the orientation requirement is absolute (desired final leaf
-        # direction), so it passes down unchanged even through physical
-        # reversals: each child pass sorts whatever is there now.
-        for j in range(k):
-            c = target[j]
-            arrange(c, starts[j], starts[j] + s - 1, want_rev)
+        for j in range(len(cs)):
+            jt = slot_of[cs[(j0 - j) % len(cs)]]
+            if jt != j:
+                yield j, jt
+                slot_of[occupants[jt]] = jt
 
-    root = tree.root
-    cs = tree.children[root]
-    # top level: keep the current leftmost block, walk the cycle backwards
-    starts, occupants, _a = engine.slot_map(root, 1, tree.n, size)
-    anchor = cs.index(occupants[0])
-    top_target = [cs[(anchor - j) % len(cs)] for j in range(len(cs))]
-    arrange(root, 1, tree.n, True, target=top_target)
+    steps = [SwapStep(heights[v], out_, in_, cross)
+             for v, out_, in_, cross in engine.walk(sort_toward_reversed, size)]
 
     out = engine.layout()
     report = la_cost(h, out)
@@ -319,31 +296,19 @@ def direct_rbt_halin_ola(h: HalinGraph) -> Layout:
 def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
     """Shuffle an optimal tree layout into a different, equally optimal one.
 
-    Randomly permutes the equal-size child blocks at every node using the
-    same cost-free operations as the rearranger (same-side exchange, or
-    cross-side exchange with paired reversal).  Useful for producing inputs
-    whose rearrangement trace is non-trivial.
+    Randomly permutes the equal-size child blocks at every node (a
+    Fisher-Yates shuffle of the slots) with the rearranger's cost-free
+    exchanges.  Useful for producing inputs whose rearrangement trace is
+    non-trivial.
     """
     rng = random.Random(seed)
-    size = tree.subtree_sizes()
-    engine = _BlockEngine(tree, layout)
 
-    def shuffle(v: VertexId, lo: int, hi: int):
-        cs = tree.children[v]
-        if not cs:
-            return
-        k = len(cs)
-        s = (size[v] - 1) // k
-        starts, occupants, a = engine.slot_map(v, lo, hi, size)
-        for j in range(k - 1, 0, -1):
+    def fisher_yates(v: VertexId, occupants: List[VertexId]):
+        for j in range(len(occupants) - 1, 0, -1):
             jt = rng.randrange(j + 1)
-            if jt == j:
-                continue
-            cross = (j < a) != (jt < a)
-            engine.swap_slots(starts[j], starts[jt], s, reverse_pair=cross)
-            occupants[j], occupants[jt] = occupants[jt], occupants[j]
-        for j in range(k):
-            shuffle(occupants[j], starts[j], starts[j] + s - 1)
+            if jt != j:
+                yield j, jt
 
-    shuffle(tree.root, 1, tree.n)
+    engine = _BlockEngine(tree, layout)
+    engine.walk(fisher_yates, tree.subtree_sizes())
     return engine.layout()

@@ -11,6 +11,7 @@ once ``indent`` is set).  Integers in files are JSON integers, never booleans.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain
 from typing import Dict, List, Optional
 
@@ -26,9 +27,26 @@ _LAYOUT_FIELDS = {"schemaVersion", "vertexAt"}
 _INT = {int}  # exact type: bool is a subclass of int but not a JSON integer
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _v in pairs).items() if count > 1)
+        raise ParseError(f"repeated key {key!r} in a JSON object")
+    return doc
+
+
 def _load_json(data: bytes) -> object:
+    sizes: List[int] = []  # keys per decoded object
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        doc = json.loads(text, object_hook=lambda obj: sizes.append(len(obj)) or obj)
+        # each key in the text is followed by one ':' outside any string, so
+        # fewer decoded keys than ':'s means a repeated key or a ':' in a
+        # string; only then is the text decoded again, pair by pair
+        if sum(sizes) != text.count(":"):
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        return doc
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

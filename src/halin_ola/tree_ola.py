@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import HalinOlaError, NotRecursivelyBalanced, TooLarge
-from .graph_core import Edge, EdgeKind, EmbeddedTree, VertexId
+from .graph_core import EmbeddedTree, VertexId
 from .layout_ops import Layout
 
 LAYOUT_CAP = 10_000
@@ -29,14 +29,18 @@ class SimpleGraph:
 
     n: int
     edge_pairs: Tuple[Tuple[VertexId, VertexId], ...]
-    kind: EdgeKind = EdgeKind.TREE
 
-    def edges(self) -> List[Edge]:
-        return [Edge(u, v, kind=self.kind) for u, v in self.edge_pairs]
+    def __post_init__(self):
+        if any(u == v for u, v in self.edge_pairs):
+            raise ValueError("self-loop")
+
+    def edges(self) -> List[Tuple[VertexId, VertexId]]:
+        """The edge pairs, smaller id first, in ``edge_pairs`` order."""
+        return [(u, v) if u < v else (v, u) for u, v in self.edge_pairs]
 
 
 def cycle_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)), kind=EdgeKind.CYCLE)
+    return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -281,9 +285,8 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True) -> OracleResult:
         raise TooLarge(f"n={n} exceeds oracle limit {limit}")
     if n > _ORACLE_MAX_N:
         raise TooLarge(f"n={n} exceeds the oracle's hard ceiling {_ORACLE_MAX_N}")
-    pairs = [(e.u, e.v) for e in g.edges()]
     if n == 1:
         return OracleResult(0, (Layout((0,)),), 1, 1)
     if pruned:
-        return _subset_dp(n, pairs)
-    return _scan_all_permutations(n, pairs)
+        return _subset_dp(n, g.edges())
+    return _scan_all_permutations(n, g.edges())

@@ -22,6 +22,7 @@ from halin_ola import (
     serialize_layout,
 )
 from halin_ola.cli import main
+from halin_ola.io_formats import _load_json
 
 
 class TestInstanceFormat:
@@ -125,6 +126,48 @@ _json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
 )
+
+
+class TestRepeatedKeys:
+    """A repeated JSON object key is a ParseError, never a silent overwrite."""
+
+    BAD_INSTANCES = {
+        "child-map": b'{"schemaVersion": 1, "tree": {"root": 0, "children": '
+                     b'{"0": [1, 2, 3], "0": [3, 2, 1]}}}',
+        "schema-version": b'{"schemaVersion": 1, "schemaVersion": 1, "tree": '
+                          b'{"root": 0, "children": {"0": [1, 2, 3]}}}',
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+    def test_instance_rejected(self, case, tmp_path):
+        data = self.BAD_INSTANCES[case]
+        with pytest.raises(ParseError, match="repeated key"):
+            parse_instance(data)
+        inst = tmp_path / "bad.json"
+        inst.write_bytes(data)
+        assert main(["export-dot", "-i", str(inst), "-o", str(tmp_path / "x.dot")]) == 2
+
+    def test_layout_rejected(self, tmp_path):
+        data = b'{"schemaVersion": 1, "vertexAt": [0, 1, 2, 3], "vertexAt": [3, 2, 1, 0]}'
+        with pytest.raises(ParseError, match="repeated key 'vertexAt'"):
+            parse_layout(data)
+        inst = tmp_path / "w.json"
+        lay = tmp_path / "w.layout.json"
+        inst.write_bytes(serialize_instance(gen_wheel(3)))
+        lay.write_bytes(data)
+        assert main(["cost", "-i", str(inst), "-l", str(lay)]) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b:", ":"]), _json_values), max_size=5))
+    def test_colons_in_strings(self, pairs):
+        # keys and values may hold ':' outside the key separators
+        text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+        keys = [k for k, _v in pairs]
+        if len(set(keys)) < len(keys):
+            with pytest.raises(ParseError, match="repeated key"):
+                _load_json(text.encode())
+        else:
+            assert _load_json(text.encode()) == dict(pairs)
 
 
 def _reference_dot(h, layout=None) -> str:
@@ -264,6 +307,21 @@ class TestCliPipeline:
             ["gen", "--family", "wheel", "--spokes", "2", "-o", str(tmp_path / "x")]
         ) == 1
 
+    @pytest.mark.parametrize("family,message", [
+        ("wheel", "--spokes"), ("kary", "--k, --c and --h"),
+        ("caterpillar", "--spine and --leaves"), ("random", "--n")])
+    def test_gen_requires_options(self, family, message, tmp_path, capsys):
+        assert main(["gen", "--family", family, "-o", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == f"error: gen --family {family} requires {message}\n"
+
+    def test_gen_caterpillar_count_mismatch(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--family", "caterpillar", "--spine", "3", "--leaves", "2,2",
+                     "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: need one leaf count per spine vertex: 3 != 2\n")
+        assert not out.exists()
+
     def test_json_diagnostics_on_stderr(self, tmp_path, capsys):
         code = main(
             ["--json", "gen", "--family", "wheel", "--spokes", "2",
@@ -294,6 +352,22 @@ class TestCliPipeline:
         assert main(["proptest", "--corpus", "wheel=3..4"]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize("entry", [
+        "wheel=x", "wheel=3..x", "kary=3,2", "caterpillar=3", "caterpillar=x:2,2",
+        "random=", "random=7,1,0,9"])
+    def test_malformed_corpus_entry_exit_1(self, entry, capsys):
+        assert main(["proptest", "--corpus", entry]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad corpus entry {entry!r} (expected ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry,seeds", [
+        ("random=7", [0]), ("random=7,2", [1, 2]), ("random=7,2,5", [5, 6])])
+    def test_random_corpus_entry_defaults(self, entry, seeds, capsys):
+        assert main(["--json", "proptest", "--corpus", entry]) == 0
+        names = [e["name"] for e in json.loads(capsys.readouterr().out)["instances"]]
+        assert names == [f"random(n=7)#seed={s}" for s in seeds]
 
     def test_rearrange_with_explicit_tree_layout(self, tmp_path):
         from halin_ola import rbt_ola, scramble_tree_ola

@@ -14,6 +14,7 @@ from halin_ola import (
     standard_corpus,
     validate_halin_substrate,
 )
+from halin_ola.generators import caterpillar_spec
 
 
 class TestWheel:
@@ -117,6 +118,14 @@ class TestDispatchAndCorpus:
     def test_generate_unknown_family(self):
         with pytest.raises(BadParam):
             generate(GenSpec("torus", ()))
+
+    def test_generate_bad_params_are_bad_param(self):
+        with pytest.raises(BadParam, match="need one leaf count per spine vertex: 3 != 2"):
+            generate(caterpillar_spec(3, [2, 2]))
+        with pytest.raises(BadParam, match="spokes"):
+            generate(GenSpec("wheel", ()))
+        with pytest.raises(BadParam, match="'h'"):
+            generate(GenSpec("kary", (("k", 3), ("c", 2))))
 
     def test_standard_corpus_shape(self):
         corpus = standard_corpus()

@@ -6,10 +6,10 @@ from halin_ola import (
     CycleDetected,
     DisconnectedInput,
     DuplicateChild,
-    Edge,
-    EdgeKind,
     InvalidSubstrate,
+    SimpleGraph,
     build_embedded_tree,
+    cycle_graph,
     gen_random_halin,
     halin_from_tree,
     leaves_in_embedding_order,
@@ -30,21 +30,24 @@ def tri_star():
 
 class TestEdge:
     def test_endpoints_normalized(self):
-        e = Edge(5, 2, kind=EdgeKind.TREE)
-        assert e.endpoints == (2, 5)
-        assert e == Edge(2, 5, kind=EdgeKind.TREE)
+        t = build_embedded_tree(0, {0: [5, 1, 2], 5: [3, 4]})
+        assert t.edges() == [(0, 5), (0, 1), (0, 2), (3, 5), (4, 5)]
+        h = halin_from_tree(build_embedded_tree(0, {0: [3, 1, 2]}))
+        assert h.edges() == [(0, 3), (0, 1), (0, 2), (1, 3), (1, 2), (2, 3)]
+        assert SimpleGraph(3, ((2, 0), (1, 2))).edges() == [(0, 2), (1, 2)]
 
-    def test_other(self):
-        e = Edge(1, 3, kind=EdgeKind.CYCLE)
-        assert e.other(1) == 3
-        assert e.other(3) == 1
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 200), st.integers(0, 10**6))
+    def test_halin_edges_distinct(self, n, seed):
+        h = gen_random_halin(n, seed)
+        assert all(u < v for u, v in h.edges())
+        assert len(set(h.edges())) == h.m
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            Edge(2, 2, kind=EdgeKind.TREE)
-
-    def test_kind_distinguishes(self):
-        assert Edge(0, 1, kind=EdgeKind.TREE) != Edge(0, 1, kind=EdgeKind.CYCLE)
+        with pytest.raises(ValueError, match="self-loop"):
+            SimpleGraph(3, ((0, 1), (2, 2)))
+        with pytest.raises(ValueError, match="self-loop"):
+            cycle_graph(1)
 
 
 class TestBuildEmbeddedTree:
@@ -156,8 +159,6 @@ class TestHalinGraph:
 
     def test_edge_partition(self):
         h = halin_from_tree(tri_star())
-        assert len(h.tree_edges()) == 9
-        assert len(h.cycle_edges()) == 6
-        assert all(e.kind is EdgeKind.TREE for e in h.tree_edges())
-        assert all(e.kind is EdgeKind.CYCLE for e in h.cycle_edges())
+        assert len(h.tree.edges()) == 9
+        assert h.edges()[9:] == [(4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (4, 9)]
         assert len(set(h.edges())) == h.m

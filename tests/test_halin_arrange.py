@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -183,6 +184,23 @@ class TestScramble:
         base = rbt_ola(h.tree)
         assert scramble_tree_ola(h.tree, base, seed=7) == scramble_tree_ola(
             h.tree, base, seed=7
+        )
+
+    def test_block_walk_parity_digest(self):
+        # scrambled layouts, their rearrangements and swap traces, as pinned
+        # from the separate scramble and rearrange walks
+        graphs = [gen_kary_rbt_halin(3, 2, hh) for hh in range(1, 7)]
+        graphs += [gen_kary_rbt_halin(4, 3, 3), gen_kary_rbt_halin(5, 2, 4)]
+        graphs += [gen_wheel(s) for s in range(3, 12)]
+        rows = []
+        for h in graphs:
+            base = rbt_ola(h.tree)
+            starts = [scramble_tree_ola(h.tree, base, seed) for seed in (0, 1, 7, 123)]
+            for start in [base] + starts:
+                out, trace = rearrange_to_halin_ola(h, start)
+                rows.append((start.vertex_at, out.vertex_at, trace.to_jsonable()))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "af392ad649f7dad2eee538d20334b22ae71a303b8b02d7165c38d5bd20c79b43"
         )
 
 
