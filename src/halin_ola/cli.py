@@ -124,7 +124,7 @@ def _print_cost(h: HalinGraph, layout) -> None:
 def _cmd_solve(args) -> int:
     h = _load_instance(args.input)
     if args.method == "oracle":
-        layout = brute_force_ola(h, limit=args.limit).optimal_layouts[0]
+        layout = brute_force_ola(h, limit=args.limit, layout_cap=1).optimal_layouts[0]
     elif args.method == "rbt":
         layout = rbt_ola(h.tree)
     elif args.method == "direct":
@@ -150,7 +150,7 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int = 10) -> int:
+def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int) -> int:
     if not use_oracle:
         try:
             return la_total(h.tree, rbt_ola(h.tree))
@@ -160,7 +160,7 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int = 10) -> int:
                     "tree is not recursively balanced and too large for the oracle; "
                     "pass --tree-opt or --oracle"
                 ) from None
-    return brute_force_ola(h.tree, limit=limit).optimal_cost
+    return brute_force_ola(h.tree, limit=limit, layout_cap=0).optimal_cost
 
 
 def _cmd_bound(args) -> int:
@@ -168,7 +168,7 @@ def _cmd_bound(args) -> int:
     if args.tree_opt is not None:
         tree_opt = args.tree_opt
     else:
-        tree_opt = _tree_optimum(h, args.oracle)
+        tree_opt = _tree_optimum(h, args.oracle, args.limit)
     print(halin_lower_bound(h, tree_opt))
     return 0
 
@@ -176,7 +176,7 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     h = _load_instance(args.input)
     layout = _load_layout(args.layout, h)
-    tree_opt = _tree_optimum(h, args.oracle)
+    tree_opt = _tree_optimum(h, args.oracle, args.limit)
     cert = certify(h, layout, tree_opt)
     payload = {
         "layoutCost": cert.layout_cost,
@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
         "reason": cert.reason,
     }
     if args.oracle:
-        true_opt = brute_force_ola(h, limit=args.limit).optimal_cost
+        true_opt = brute_force_ola(h, limit=args.limit, layout_cap=0).optimal_cost
         payload["oracleOptimum"] = true_opt
         if cert.layout_cost > true_opt:
             payload["verdict"] = "not optimal"
@@ -302,6 +302,7 @@ def build_parser() -> _Parser:
     group.add_argument("--tree-opt", type=int, help="known optimal tree cost")
     group.add_argument("--oracle", action="store_true",
                        help="compute the tree optimum with the exact oracle")
+    p.add_argument("--limit", type=int, default=10, help="oracle size limit")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="certify a layout against the bound")

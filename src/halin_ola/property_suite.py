@@ -253,7 +253,7 @@ def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
         rep = InstanceReport(name=_spec_name(spec), n=h.n)
         try:
             oracle = brute_force_ola(h, limit=oracle_limit)
-            tree_oracle = brute_force_ola(h.tree, limit=oracle_limit)
+            tree_oracle = brute_force_ola(h.tree, limit=oracle_limit, layout_cap=0)
             rep.optimal_cost = oracle.optimal_cost
             rep.lower_bound = halin_lower_bound(h, tree_oracle.optimal_cost)
             rep.bound_tight = oracle.optimal_cost == rep.lower_bound

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import HalinOlaError, NotRecursivelyBalanced, TooLarge
+from .errors import BadParam, HalinOlaError, NotRecursivelyBalanced, TooLarge
 from .graph_core import EmbeddedTree, VertexId
 from .layout_ops import Layout
 
@@ -31,8 +31,11 @@ class SimpleGraph:
     edge_pairs: Tuple[Tuple[VertexId, VertexId], ...]
 
     def __post_init__(self):
-        if any(u == v for u, v in self.edge_pairs):
-            raise ValueError("self-loop")
+        for u, v in self.edge_pairs:
+            if u == v:
+                raise ValueError("self-loop")
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ValueError(f"edge ({u}, {v}) leaves the vertex range 0..{self.n - 1}")
 
     def edges(self) -> List[Tuple[VertexId, VertexId]]:
         """The edge pairs, smaller id first, in ``edge_pairs`` order."""
@@ -164,14 +167,25 @@ def _balanced_layout(tree: EmbeddedTree, mirror: bool,
 
 @dataclass(frozen=True)
 class OracleResult:
+    """What the exact oracle found.
+
+    ``optimal_cost``, ``optimal_count`` and ``states_explored`` are complete
+    whatever the call's ``layout_cap``; ``optimal_layouts`` holds at most
+    ``layout_cap`` of the optima.
+    """
+
     optimal_cost: int
     optimal_layouts: Tuple[Layout, ...]
     optimal_count: int
     states_explored: int  # subsets for the DP (2^n), permutations for the scan
 
 
-def _scan_all_permutations(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
-    """Plain full enumeration; the independent check for the subset DP."""
+def _scan_all_permutations(n: int, pairs: Sequence[Tuple[int, int]],
+                           layout_cap: int) -> OracleResult:
+    """Plain full enumeration; the independent check for the subset DP.
+
+    Keeps the first ``layout_cap`` optima in lexicographic order.
+    """
     best = None
     count = 0
     layouts: List[Layout] = []
@@ -183,17 +197,15 @@ def _scan_all_permutations(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleRe
             pos[v] = i + 1
         cost = sum(abs(pos[u] - pos[v]) for u, v in pairs)
         if best is None or cost < best:
-            best = cost
-            count = 1
-            layouts = [Layout(perm)]
-        elif cost == best:
+            best, count, layouts = cost, 0, []
+        if cost == best:
             count += 1
-            if len(layouts) < LAYOUT_CAP:
+            if len(layouts) < layout_cap:
                 layouts.append(Layout(perm))
     return OracleResult(best, tuple(layouts), count, states)
 
 
-def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
+def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]], layout_cap: int) -> OracleResult:
     """Exact optimum, optimum count and optima by a DP over prefix sets.
 
     A layout's cost is the sum of ``cut(prefix)`` over its n-1 gaps, so with
@@ -202,7 +214,8 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
     extensions.  Optima are walked depth-first from the empty prefix in
     increasing vertex order, i.e. lexicographically.  Only layouts whose
     first vertex is smaller than their last are kept, each emitted with its
-    reversal, up to ``LAYOUT_CAP``.
+    reversal, up to ``layout_cap``; the walk stops once it has enough and is
+    skipped at cap 0.
     """
     # masks[v][k]: the neighbours joined to v by more than k parallel edges.
     deg = [0] * n
@@ -243,7 +256,7 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
         h[s] += best
         cnt[s] = ways
 
-    want = (LAYOUT_CAP + 1) // 2
+    want = (layout_cap + 1) // 2
     kept: List[Tuple[int, ...]] = []
     prefix: List[int] = []
 
@@ -262,14 +275,16 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]]) -> OracleResult:
                 if len(kept) == want:
                     return
 
-    walk(0)
+    if want:
+        walk(0)
     layouts: List[Layout] = []
     for t in kept:
         layouts += (Layout(t), Layout(t[::-1]))
-    return OracleResult(h[0], tuple(layouts[:LAYOUT_CAP]), cnt[0], full + 1)
+    return OracleResult(h[0], tuple(layouts[:layout_cap]), cnt[0], full + 1)
 
 
-def brute_force_ola(g, limit: int = 10, pruned: bool = True) -> OracleResult:
+def brute_force_ola(g, limit: int = 10, pruned: bool = True,
+                    layout_cap: int = LAYOUT_CAP) -> OracleResult:
     """Exact optimum of any small graph.
 
     The default path is the prefix-cut subset DP, O(2^n * n) time and about
@@ -277,16 +292,26 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True) -> OracleResult:
     of all n! permutations; both paths must agree, which the test suite
     checks for all n <= 7 instances.
 
+    ``layout_cap`` bounds how many optimal layouts are listed (default
+    ``LAYOUT_CAP``); ``0`` lists none and skips the enumeration, which is
+    what callers that need only the optimum should pass.  The optimum, the
+    optimum count and the states explored are complete for every cap.  The
+    listed layouts are the first ``layout_cap`` optima of one fixed order,
+    so a cap below the default lists the default list cut to that cap.  A
+    negative cap raises BadParam.
+
     Raises TooLarge when n exceeds ``limit`` (default 10), and whatever
     ``limit`` says, when n exceeds ``_ORACLE_MAX_N``, before allocating.
     """
     n = g.n
+    if layout_cap < 0:
+        raise BadParam(f"layout_cap must be >= 0, got {layout_cap}")
     if n > limit:
         raise TooLarge(f"n={n} exceeds oracle limit {limit}")
     if n > _ORACLE_MAX_N:
         raise TooLarge(f"n={n} exceeds the oracle's hard ceiling {_ORACLE_MAX_N}")
     if n == 1:
-        return OracleResult(0, (Layout((0,)),), 1, 1)
+        return OracleResult(0, (Layout((0,)),)[:layout_cap], 1, 1)
     if pruned:
-        return _subset_dp(n, g.edges())
-    return _scan_all_permutations(n, g.edges())
+        return _subset_dp(n, g.edges(), layout_cap)
+    return _scan_all_permutations(n, g.edges(), layout_cap)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -389,6 +390,53 @@ class TestCliPipeline:
     def test_proptest_standard_corpus(self, capsys):
         assert main(["proptest"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+    def test_limit_reaches_tree_optimum(self, tmp_path, capsys):
+        # n = 12, a non-balanced tree, so the tree optimum needs the oracle
+        inst = tmp_path / "cat.json"
+        lay = tmp_path / "cat.layout.json"
+        main(["gen", "--family", "caterpillar", "--spine", "3", "--leaves", "3,2,4",
+              "-o", str(inst)])
+        assert main(["solve", "--method", "oracle", "--limit", "14", "-i", str(inst),
+                     "-o", str(lay)]) == 0
+        capsys.readouterr()
+        for argv in (["bound", "--oracle", "-i", str(inst)],
+                     ["verify", "--oracle", "-i", str(inst), "-l", str(lay)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: n=12 exceeds oracle limit 10\n"
+        assert main(["bound", "--oracle", "--limit", "14", "-i", str(inst)]) == 0
+        assert capsys.readouterr().out == "41\n"
+        assert main(["verify", "--oracle", "--limit", "14", "-i", str(inst),
+                     "-l", str(lay)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["oracleOptimum"], payload["lowerBound"]) == (
+            "optimal", 41, 41)
+
+    def test_oracle_commands_parity_digest(self, tmp_path, capsys):
+        # exit codes, stdout, stderr and layout bytes of every oracle-backed
+        # command, pinned byte for byte; random seed 19 is n = 11, over the limit
+        gens = [["--family", "wheel", "--spokes", str(s)] for s in range(3, 10)]
+        gens += [["--family", "random", "--n", "9", "--seed", str(s)] for s in range(18, 22)]
+        rows = []
+
+        def run(argv, output=None):
+            code = main(argv)
+            out = capsys.readouterr()
+            data = output.read_bytes() if output is not None and output.exists() else None
+            rows.append((argv[0], code, out.out, out.err, data))
+
+        for i, spec in enumerate(gens):
+            inst, lay = tmp_path / f"{i}.json", tmp_path / f"{i}.layout.json"
+            main(["gen", *spec, "-o", str(inst)])
+            capsys.readouterr()
+            run(["solve", "--method", "oracle", "-i", str(inst), "-o", str(lay)], lay)
+            if lay.exists():
+                run(["verify", "--oracle", "-i", str(inst), "-l", str(lay)])
+            run(["bound", "--oracle", "-i", str(inst)])
+        run(["--json", "proptest", "--corpus", "wheel=3..9;random=9,4,18"])
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "8e3d95ec5540696b786622361b9bc1013d0991b6b693a458940456bbced3c453"
+        )
 
     def _wheels_with_layouts(self, tmp_path):
         paths = {}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import halin_ola
 from halin_ola import (
+    BadParam,
     NotRecursivelyBalanced,
     SimpleGraph,
     TooLarge,
@@ -249,6 +250,17 @@ class TestOracle:
         assert len(res.optimal_layouts) == LAYOUT_CAP
         assert all(la_total(tree, lay) == 20 for lay in res.optimal_layouts)
 
+    def test_negative_layout_cap(self):
+        for pruned in (True, False):
+            with pytest.raises(BadParam):
+                brute_force_ola(star(3), pruned=pruned, layout_cap=-1)
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_vertex_ids_out_of_range(self, bad):
+        for pruned in (True, False):
+            with pytest.raises(ValueError, match="vertex range"):
+                brute_force_ola(SimpleGraph(3, ((0, bad),)), pruned=pruned)
+
     def test_parity_digest(self):
         # optima, counts and layout order, as pinned from the former
         # branch-and-bound search on the same graphs
@@ -276,3 +288,14 @@ class TestOracle:
         assert a.optimal_cost == b.optimal_cost
         assert a.optimal_count == b.optimal_count
         assert set(a.optimal_layouts) == set(b.optimal_layouts)
+        # a cap trims the listed layouts and nothing else
+        for cap in (0, 1, 2, LAYOUT_CAP):
+            for default, pruned in ((a, True), (b, False)):
+                r = brute_force_ola(g, pruned=pruned, layout_cap=cap)
+                assert (r.optimal_cost, r.optimal_count, r.states_explored) == (
+                    default.optimal_cost, default.optimal_count, default.states_explored)
+            dp = brute_force_ola(g, pruned=True, layout_cap=cap)
+            assert dp.optimal_layouts == a.optimal_layouts[:cap]
+            scan = brute_force_ola(g, pruned=False, layout_cap=cap)
+            assert len(scan.optimal_layouts) == min(cap, b.optimal_count)
+            assert scan.optimal_layouts == b.optimal_layouts[:cap]
