@@ -4,9 +4,9 @@ Subcommands: gen, solve, cost, bound, verify, proptest, export-dot.
 
 Exit codes: 0 success; 1 usage or inapplicable-method errors (bad
 parameters, non-balanced tree passed to a balanced-only solver, oracle size
-limit); 2 I/O, parse, schema, or substrate errors; 3 verification failure
-(``verify --oracle`` on a non-optimal layout).  With ``--json``, errors are
-also emitted as a JSON object on stderr.
+limit, generator size ceiling); 2 I/O, parse, schema, or substrate errors;
+3 verification failure (``verify --oracle`` on a non-optimal layout).  With
+``--json``, errors are also emitted as a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -343,7 +343,12 @@ def _emit_error(exc: Exception, as_json: bool, code: int) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    as_json = bool(argv and "--json" in argv) or "--json" in sys.argv[1:]
+    """Run one command and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``; an explicit ``argv`` is the only
+    input, so ``--json`` in the process's own arguments does not apply to it.
+    """
+    as_json = "--json" in (sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

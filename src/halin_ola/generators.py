@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import BadParam
+from ._record import record
+from .errors import BadParam, TooLarge
 from .graph_core import HalinGraph, build_embedded_tree, halin_from_tree
 
 
-@dataclass(frozen=True)
+# The most vertices a generator builds: about 21 times the largest benchmark
+# instance.  Each generator checks its n (random: the most it can reach) after
+# validating its parameters and before it allocates anything.
+MAX_GEN_N = 1 << 20
+
+
+def _check_size(family: str, n: int) -> None:
+    if n > MAX_GEN_N:
+        raise TooLarge(f"{family} instance would exceed the generator ceiling "
+                       f"of {MAX_GEN_N} vertices")
+
+
+@record(frozen=True)
 class GenSpec:
     """Reproducible description of a generated instance."""
 
@@ -27,6 +39,7 @@ def gen_wheel(spokes: int) -> HalinGraph:
     """Wheel: a star hub plus the cycle through its ``spokes`` leaves."""
     if spokes < 3:
         raise BadParam(f"wheel needs >= 3 spokes, got {spokes}")
+    _check_size("wheel", spokes + 1)
     return halin_from_tree(build_embedded_tree(0, {0: list(range(1, spokes + 1))}))
 
 
@@ -42,6 +55,13 @@ def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
         raise BadParam(f"inner degree must be >= 2, got {c}")
     if height < 1:
         raise BadParam(f"height must be >= 1, got {height}")
+    n, level = 1, k
+    for _ in range(height):  # c >= 2: past the ceiling within 20 levels
+        n += level
+        if n > MAX_GEN_N:
+            break
+        level *= c
+    _check_size("kary", n)
     children: Dict[int, List[int]] = {}
     next_id = 1
 
@@ -87,6 +107,7 @@ def gen_caterpillar_halin(spine_len: int, leaves_per_spine: Sequence[int]) -> Ha
                 raise BadParam(
                     f"spine vertex {i} needs >= {need} leaves, got {cnt}"
                 )
+    _check_size("caterpillar", spine_len + sum(leaves))
 
     children: Dict[int, List[int]] = {}
     next_id = spine_len
@@ -117,6 +138,7 @@ def gen_random_halin(n_target: int, seed: int) -> HalinGraph:
     """
     if n_target < 4:
         raise BadParam(f"n_target must be >= 4, got {n_target}")
+    _check_size("random", n_target + 2)  # the last step may overshoot by 2
     rng = random.Random(seed)
     children: Dict[int, List[int]] = {0: [1, 2, 3]}
     leaves = [1, 2, 3]
@@ -139,7 +161,8 @@ def generate(spec: GenSpec) -> HalinGraph:
 
     A caterpillar spec lists its leaf counts as ``l0, l1, ...`` after
     ``spine``.  Raises BadParam for an unknown family, a missing parameter,
-    or parameters the family generator rejects.
+    or parameters the family generator rejects, and TooLarge for an
+    instance above ``MAX_GEN_N`` vertices.
     """
     params = dict(spec.params)
 

@@ -8,16 +8,16 @@ first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+from ._record import field, record
 from .errors import CycleDetected, DisconnectedInput, DuplicateChild, InvalidSubstrate
 
 VertexId = int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmbeddedTree:
     """Rooted tree with ordered (= plane-embedded) child lists.
 
@@ -159,7 +159,7 @@ def validate_halin_substrate(tree: EmbeddedTree) -> List[str]:
     return violations
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HalinGraph:
     """A plane tree plus the cycle through its leaves in embedding order."""
 

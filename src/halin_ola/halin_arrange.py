@@ -14,9 +14,9 @@ cross-check of the rearranger.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from ._record import record
 from .errors import HalinOlaError, NotContiguous, NotRbt, NotTreeOptimalInput
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 from .layout_ops import Layout, la_cost, la_total, reverse_block, sigma_swap
@@ -38,7 +38,7 @@ def cycle_cost_is_tight(h: HalinGraph, layout: Layout) -> bool:
     return la_cost(h, layout).cycle_cost == 2 * (h.n - 1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OlaCertificate:
     layout_cost: int
     lower_bound: int
@@ -77,7 +77,7 @@ def certify(h: HalinGraph, layout: Layout, tree_opt_cost: int) -> OlaCertificate
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SwapStep:
     """One sigma application: exchange the subtree blocks rooted at a and b.
 
@@ -92,7 +92,7 @@ class SwapStep:
     reversed_pair: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SwapTrace:
     steps: Tuple[SwapStep, ...]
     total_swaps: int

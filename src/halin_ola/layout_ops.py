@@ -6,14 +6,14 @@ operation returns a fresh layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Set, Tuple, Union
 
+from ._record import record
 from .errors import NotContiguous, Overlapping
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Layout:
     """Bijection between vertices 0..n-1 and positions 1..n.
 
@@ -67,7 +67,7 @@ def identity_layout(n: int) -> Layout:
 GraphLike = Union[EmbeddedTree, HalinGraph]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArrangementReport:
     total_cost: int
     tree_cost: int
@@ -196,7 +196,7 @@ def spinal_path(g: GraphLike, layout: Layout) -> List[VertexId]:
     return tree_path(tree, layout.first(), layout.last())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Branch:
     anchor: VertexId
     vertices: frozenset
@@ -206,7 +206,7 @@ class Branch:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpinalDecomposition:
     path: Tuple[VertexId, ...]
     subtrees: Tuple[frozenset, ...]          # vertex sets, subtrees[i] owns path[i]

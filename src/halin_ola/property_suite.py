@@ -10,10 +10,10 @@ reports violations with full counterexamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import field, record
 from .errors import HalinOlaError
 from .generators import GenSpec
 from .graph_core import HalinGraph
@@ -146,7 +146,7 @@ def check_extremes_are_leaves(h: HalinGraph, layout: Layout) -> ExtremesVerdict:
     return ExtremesVerdict.VIOLATION
 
 
-@dataclass
+@record
 class InstanceReport:
     name: str
     n: int
@@ -194,7 +194,7 @@ class InstanceReport:
         }
 
 
-@dataclass
+@record
 class SuiteReport:
     entries: List[InstanceReport]
 

@@ -10,10 +10,10 @@ a plain scan of all permutations.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
+from ._record import record
 from .errors import BadParam, HalinOlaError, NotRecursivelyBalanced, TooLarge
 from .graph_core import EmbeddedTree, VertexId
 from .layout_ops import Layout
@@ -23,7 +23,7 @@ LAYOUT_CAP = 10_000
 _ORACLE_MAX_N = 20
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimpleGraph:
     """Minimal edge-list graph for oracle runs on non-Halin instances."""
 
@@ -74,7 +74,7 @@ def central_vertex(tree: EmbeddedTree) -> VertexId:
     return best_v
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RbtCertificate:
     subtree_size: Tuple[int, ...]
     balanced: Tuple[bool, ...]
@@ -165,7 +165,7 @@ def _balanced_layout(tree: EmbeddedTree, mirror: bool,
     return Layout(tuple(order))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleResult:
     """What the exact oracle found.
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +334,29 @@ class TestCliPipeline:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "BadParam"
         assert payload["exitCode"] == 1
+
+    @pytest.mark.parametrize("process_argv,argv,as_json", [
+        (["prog", "--json"], ["gen"], False),
+        (["prog", "--json", "gen"], None, True),
+        (["prog"], ["--json", "gen"], True),
+    ])
+    def test_json_flag_read_from_parsed_arguments(self, process_argv, argv, as_json,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", process_argv)
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ")
+        assert len(err) == (2 if as_json else 1)
+        if as_json:
+            assert json.loads(err[1])["exitCode"] == 1
+
+    def test_gen_above_ceiling_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--family", "kary", "--k", "3", "--c", "2", "--h", "40",
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: kary instance would exceed")
+        assert not out.exists()
 
     def test_files_round_trip_byte_exact(self, tmp_path):
         inst = tmp_path / "r.json"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from halin_ola import (
     BadParam,
     GenSpec,
+    TooLarge,
     all_caterpillar_halins_up_to,
     gen_caterpillar_halin,
     gen_kary_rbt_halin,
@@ -14,6 +17,7 @@ from halin_ola import (
     standard_corpus,
     validate_halin_substrate,
 )
+from halin_ola import generators
 from halin_ola.generators import caterpillar_spec
 
 
@@ -142,3 +146,44 @@ class TestDispatchAndCorpus:
     def test_byte_identical_for_identical_spec(self):
         spec = GenSpec("random", (("n", 7),), seed=42)
         assert serialize_instance(generate(spec)) == serialize_instance(generate(spec))
+
+
+class TestSizeCeiling:
+    # (largest spec under a ceiling of 100, smallest above it); kary(3,2,5)
+    # has n = 94 and kary(3,2,6) n = 190; random n = 98 may reach n = 100
+    BOUNDARY = [
+        (GenSpec("wheel", (("spokes", 99),)), GenSpec("wheel", (("spokes", 100),))),
+        (GenSpec("kary", (("k", 3), ("c", 2), ("h", 5))),
+         GenSpec("kary", (("k", 3), ("c", 2), ("h", 6)))),
+        (caterpillar_spec(2, [2, 96]), caterpillar_spec(2, [2, 97])),
+        (GenSpec("random", (("n", 98),)), GenSpec("random", (("n", 99),))),
+    ]
+
+    @pytest.mark.parametrize("fits,too_big", BOUNDARY,
+                             ids=[fits.family for fits, _ in BOUNDARY])
+    def test_ceiling_boundary(self, fits, too_big, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_GEN_N", 100, raising=False)
+        assert generate(fits).n <= 100
+        with pytest.raises(TooLarge, match="ceiling of 100 vertices"):
+            generate(too_big)
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec("wheel", (("spokes", 10**12),)),
+        GenSpec("kary", (("k", 3), ("c", 2), ("h", 10**12))),
+        GenSpec("kary", (("k", 10**12), ("c", 10**12), ("h", 1))),
+        caterpillar_spec(2, [2, 10**12]),
+        GenSpec("random", (("n", 10**12),)),
+    ], ids=["wheel", "kary-deep", "kary-wide", "caterpillar", "random"])
+    def test_huge_spec_raises_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_invalid_params_stay_bad_param(self):
+        with pytest.raises(BadParam):
+            generate(GenSpec("kary", (("k", 3), ("c", 1), ("h", 10**12))))
