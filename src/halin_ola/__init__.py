@@ -37,7 +37,6 @@ from .layout_ops import (
     Branch,
     Layout,
     SpinalDecomposition,
-    identity_layout,
     is_of_type,
     la_cost,
     la_total,

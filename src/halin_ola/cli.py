@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadParam,
@@ -197,30 +198,38 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _corpus_entry(family: str, argtext: str) -> List[GenSpec]:
-    """The GenSpecs of one corpus entry; ValueError when it is malformed."""
+# the most instances one proptest --corpus may hold, checked before any is built
+MAX_CORPUS_INSTANCES = 10_000
+
+
+def _corpus_entry(family: str, argtext: str) -> Tuple[range, Callable[[int], GenSpec]]:
+    """The keys of one corpus entry and the GenSpec of each key.
+
+    Only the keys' range is built, so an entry is counted in O(1) whatever
+    its size; ValueError when it is malformed.
+    """
     if family == "wheel":
         lo, dots, hi = argtext.partition("..")
-        spokes = range(int(lo), int(hi if dots else lo) + 1)
-        return [GenSpec("wheel", (("spokes", s),)) for s in spokes]
+        return (range(int(lo), int(hi if dots else lo) + 1),
+                lambda s: GenSpec("wheel", (("spokes", s),)))
     if family == "caterpillar":
         spine, leaves = argtext.split(":", 1)
-        return [caterpillar_spec(int(spine), _int_list(leaves))]
+        spec = caterpillar_spec(int(spine), _int_list(leaves))
+        return range(1), lambda _: spec
     vals = _int_list(argtext)
     if family == "kary":
         k, c, hh = vals
-        return [GenSpec("kary", (("k", k), ("c", c), ("h", hh)))]
+        return range(1), lambda _: GenSpec("kary", (("k", k), ("c", c), ("h", hh)))
     # COUNT defaults to 1 and SEED0 to 0, but SEED0 to 1 after an explicit COUNT
     n, count, seed0 = vals + [1, 0][:3 - len(vals)]
-    return [GenSpec("random", (("n", n),), seed=seed0 + i) for i in range(count)]
+    return (range(seed0, seed0 + count),
+            lambda seed: GenSpec("random", (("n", n),), seed=seed))
 
 
-def _parse_corpus(spec_text: str) -> List[Tuple[GenSpec, HalinGraph]]:
-    if spec_text == "standard":
-        return standard_corpus()
-    corpus: List[Tuple[GenSpec, HalinGraph]] = []
-    for chunk in spec_text.split(";"):
-        chunk = chunk.strip()
+def _corpus_entries(spec_text: str) -> Iterator[Tuple[range, Callable[[int], GenSpec]]]:
+    """Parse the ";"-separated entries one at a time."""
+    for match in re.finditer("[^;]+", spec_text):
+        chunk = match.group().strip()
         if not chunk:
             continue
         if "=" not in chunk:
@@ -229,14 +238,26 @@ def _parse_corpus(spec_text: str) -> List[Tuple[GenSpec, HalinGraph]]:
         if family not in _CORPUS_ENTRY:
             raise _Usage(f"unknown corpus family {family!r}")
         try:
-            specs = _corpus_entry(family, argtext)
+            entry = _corpus_entry(family, argtext)
         except ValueError:
             raise _Usage(f"bad corpus entry {chunk!r} "
                          f"(expected {_CORPUS_ENTRY[family]})") from None
-        corpus += [(spec, generate(spec)) for spec in specs]
-    if not corpus:
+        yield entry
+
+
+def _parse_corpus(spec_text: str) -> List[Tuple[GenSpec, HalinGraph]]:
+    """Every entry is parsed and counted before any instance is built."""
+    if spec_text == "standard":
+        return standard_corpus()
+    # not len(keys): it overflows on a range longer than sys.maxsize
+    total = sum(max(keys.stop - keys.start, 0) for keys, _ in _corpus_entries(spec_text))
+    if total > MAX_CORPUS_INSTANCES:
+        raise TooLarge(f"corpus asks for {total} instances; "
+                       f"proptest takes at most {MAX_CORPUS_INSTANCES}")
+    if not total:
         raise _Usage("empty corpus")
-    return corpus
+    return [(spec, generate(spec)) for keys, make in _corpus_entries(spec_text)
+            for spec in map(make, keys)]
 
 
 def _cmd_proptest(args) -> int:
@@ -317,7 +338,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", default="standard",
                    help='"standard", or ";"-separated entries, each one of '
                         + ", ".join(_CORPUS_ENTRY.values())
-                        + ' (e.g. "wheel=3..8;caterpillar=2:2,2;random=7,5,100")')
+                        + ' (e.g. "wheel=3..8;caterpillar=2:2,2;random=7,5,100"),'
+                        + f" {MAX_CORPUS_INSTANCES} instances at most")
     p.add_argument("--oracle-limit", type=int, default=10)
     p.set_defaults(func=_cmd_proptest)
 

@@ -60,10 +60,6 @@ class Layout:
         return self.vertex_at[-1]
 
 
-def identity_layout(n: int) -> Layout:
-    return Layout(tuple(range(n)))
-
-
 GraphLike = Union[EmbeddedTree, HalinGraph]
 
 
@@ -102,21 +98,23 @@ BlockPartition = Sequence[Iterable[VertexId]]
 
 def is_of_type(layout: Layout, partition: BlockPartition) -> bool:
     """True iff every block of ``partition`` wholly precedes the next one."""
-    pos = layout.positions()
-    prev_max = 0
-    total = 0
-    for block in partition:
-        block = list(block)
-        total += len(block)
-        if not block:
-            continue
-        lo = min(pos[v] for v in block)
-        hi = max(pos[v] for v in block)
-        if lo <= prev_max:
-            return False
-        prev_max = hi
-    if total != layout.n:
+    blocks = [list(block) for block in partition]
+    if not _blocks_in_order(layout.positions(), blocks):
+        return False
+    if sum(map(len, blocks)) != layout.n:
         raise ValueError("partition does not cover all vertices")
+    return True
+
+
+def _blocks_in_order(pos: Sequence[int], blocks: Iterable[Sequence[VertexId]]) -> bool:
+    """True iff every non-empty block's positions all precede the next one's."""
+    prev_max = 0
+    for block in blocks:
+        if block:
+            ps = [pos[v] for v in block]
+            if min(ps) <= prev_max:
+                return False
+            prev_max = max(ps)
     return True
 
 
@@ -222,7 +220,8 @@ def spinal_decomposition(g: GraphLike, layout: Layout) -> SpinalDecomposition:
 
     Removing the spinal (and, for Halin graphs, cycle) edges leaves one
     subtree per spinal vertex; removing the spinal vertex from its subtree
-    leaves its anchored branches.
+    leaves its anchored branches.  Only the first and last vertex of
+    ``layout`` are read.
     """
     tree = g.tree if isinstance(g, HalinGraph) else g
     path = spinal_path(g, layout)

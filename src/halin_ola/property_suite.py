@@ -16,43 +16,58 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ._record import field, record
 from .errors import HalinOlaError
 from .generators import GenSpec
-from .graph_core import HalinGraph
+from .graph_core import HalinGraph, VertexId
 from .halin_arrange import halin_lower_bound
-from .layout_ops import (Layout, SpinalDecomposition, is_of_type, la_total,
-                         spinal_decomposition)
+from .layout_ops import Layout, _blocks_in_order, la_total, spinal_decomposition
 from .tree_ola import brute_force_ola
+
+
+def _spine(h: HalinGraph, layout: Layout) -> tuple:
+    """The spinal decomposition as plain vertex tuples, read via positions:
+    (path, subtrees, branches), where subtrees[i] owns path[i] and
+    branches[i] holds the vertices of each branch anchored at path[i]."""
+    dec = spinal_decomposition(h, layout)
+    return (dec.path, tuple(tuple(s) for s in dec.subtrees),
+            tuple(tuple(tuple(br.vertices) for br in brs) for brs in dec.branches))
 
 
 def check_subtree_contiguity(h: HalinGraph, layout: Layout) -> bool:
     """Spinal subtrees occupy contiguous position blocks in spine order."""
-    return is_of_type(layout, spinal_decomposition(h, layout).subtrees)
+    return _blocks_in_order(layout.positions(), _spine(h, layout)[1])
 
 
 def check_spine_monotone(h: HalinGraph, layout: Layout) -> bool:
     """Positions strictly increase along the spinal path."""
-    return _spine_monotone(layout, spinal_decomposition(h, layout))
+    return _spine_monotone(layout.positions(), _spine(h, layout)[0])
 
 
-def _spine_monotone(layout: Layout, dec: SpinalDecomposition) -> bool:
-    pos = layout.positions()
-    ps = [pos[w] for w in dec.path]
-    return all(a < b for a, b in zip(ps, ps[1:]))
+def _spine_monotone(pos: Sequence[int], path: Sequence[VertexId]) -> bool:
+    prev = 0
+    for w in path:
+        if pos[w] <= prev:
+            return False
+        prev = pos[w]
+    return True
 
 
-def _branch_side_groups(layout: Layout, dec: SpinalDecomposition):
-    """Left and right branches of each spinal vertex (straddling ones left out)."""
-    pos = layout.positions()
-    groups = []
-    for w, branches in zip(dec.path, dec.branches):
+def _branch_sides(pos: Sequence[int], spine: tuple) -> List[List[Tuple[int, int]]]:
+    """The (min, max) position span of every branch wholly left, then wholly
+    right, of its spinal vertex: two lists per spinal vertex, straddling
+    branches left out."""
+    path, _, branches_at = spine
+    sides = []
+    for w, branches in zip(path, branches_at):
+        pw = pos[w]
         left, right = [], []
         for br in branches:
-            ps = [pos[v] for v in br.vertices]
-            if max(ps) < pos[w]:
-                left.append(br)
-            elif min(ps) > pos[w]:
-                right.append(br)
-        groups.append((left, right))
-    return groups
+            ps = [pos[v] for v in br]
+            lo, hi = min(ps), max(ps)
+            if hi < pw:
+                left.append((lo, hi))
+            elif lo > pw:
+                right.append((lo, hi))
+        sides += (left, right)
+    return sides
 
 
 def count_same_side_branch_pairs(h: HalinGraph, layout: Layout) -> int:
@@ -60,11 +75,11 @@ def count_same_side_branch_pairs(h: HalinGraph, layout: Layout) -> int:
 
     Zero means the check passes vacuously for this layout.
     """
-    return _same_side_pairs(_branch_side_groups(layout, spinal_decomposition(h, layout)))
+    return _same_side_pairs(_branch_sides(layout.positions(), _spine(h, layout)))
 
 
-def _same_side_pairs(groups) -> int:
-    return sum(len(side) * (len(side) - 1) // 2 for sides in groups for side in sides)
+def _same_side_pairs(sides) -> int:
+    return sum(len(side) * (len(side) - 1) // 2 for side in sides)
 
 
 def check_branch_non_overlap(h: HalinGraph, layout: Layout) -> bool:
@@ -73,22 +88,24 @@ def check_branch_non_overlap(h: HalinGraph, layout: Layout) -> bool:
     For every pair of branches on the same side of their spinal vertex, one
     must wholly precede the other (either order is fine).
     """
-    groups = _branch_side_groups(layout, spinal_decomposition(h, layout))
-    return _branches_disjoint(layout, groups)
+    return _sides_disjoint(_branch_sides(layout.positions(), _spine(h, layout)))
 
 
-def _branches_disjoint(layout: Layout, groups) -> bool:
-    pos = layout.positions()
-    for sides in groups:
-        for side in sides:
-            spans = sorted(
-                (min(pos[v] for v in br.vertices), max(pos[v] for v in br.vertices))
-                for br in side
-            )
-            for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
-                if hi1 >= lo2:
-                    return False
+def _sides_disjoint(sides) -> bool:
+    for side in sides:
+        spans = sorted(side)
+        for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
+            if hi1 >= lo2:
+                return False
     return True
+
+
+def _structural_verdict(spine: tuple, pos: Sequence[int]) -> Tuple[bool, bool, bool, bool]:
+    """Contiguity, monotonicity, branch disjointness and a vacuous branch pass."""
+    sides = _branch_sides(pos, spine)
+    disjoint = _sides_disjoint(sides)
+    return (_blocks_in_order(pos, spine[1]), _spine_monotone(pos, spine[0]),
+            disjoint, disjoint and _same_side_pairs(sides) == 0)
 
 
 class ExtremesVerdict(Enum):
@@ -109,13 +126,13 @@ def check_extremes_are_leaves(h: HalinGraph, layout: Layout) -> ExtremesVerdict:
     ``VIOLATION``: anything else.
     """
     tree = h.tree
-    base_cost = la_total(h, layout)
 
     def leaf_extreme(cur: Layout, extreme: int) -> bool:
         return tree.is_leaf(cur.vertex_at[extreme])
 
     if leaf_extreme(layout, 0) and leaf_extreme(layout, layout.n - 1):
         return ExtremesVerdict.BOTH_LEAVES
+    base_cost = la_total(h, layout)
 
     def repairs(cur: Layout, extreme: int) -> List[Layout]:
         """Cost-preserving relabelings making this extreme a leaf."""
@@ -247,6 +264,35 @@ def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
 
     Individual instance failures are recorded (with serialized
     counterexamples) without aborting the rest of the corpus.
+
+    Two facts keep the per-optimum work small; tallies and counterexamples
+    are still recorded per layout, in the oracle's order.
+
+    * A spinal decomposition depends only on the layout's first and last
+      vertex: the spinal path is the tree path between them, and the
+      subtrees and branches are the components left when its edges are
+      removed.  Within one instance it is computed once per endpoint pair.
+    * A layout L and its reversal R = ``L.reversed()`` get the same
+      contiguity, monotone, branch-overlap and vacuous-pass verdicts.  R
+      puts v at position n + 1 - pos(v), and its spinal path is L's path
+      reversed, so it has the same subtrees in reverse order and the same
+      branches at every spinal vertex.  Blocks B_0, ..., B_k wholly precede
+      one another in path order under L exactly when max B_i < min B_(i+1)
+      for each i; reflecting the positions turns this into the same
+      condition for B_k, ..., B_0 under R.  Positions increase along the
+      path under L exactly when they increase along the reversed path
+      under R.  A branch wholly left of its spinal vertex under L is wholly
+      right of it under R, and straddling branches straddle in both, so
+      each side's spans under R are the other side's spans under L,
+      reflected.  Reflection keeps two spans disjoint or overlapping, so
+      the overlap verdict and the same-side pair count agree.  Hence the
+      structural verdict of an optimum is computed once per mirror pair:
+      it is kept under the layout's ``vertex_at`` until the reversal
+      arrives, whatever order the oracle lists them in.
+
+    The extremes verdict is computed for every layout: its repair search
+    repairs position 1 before position n, so it is not shown to be
+    symmetric.
     """
     entries: List[InstanceReport] = []
     for spec, h in corpus:
@@ -257,27 +303,37 @@ def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
             rep.optimal_cost = oracle.optimal_cost
             rep.lower_bound = halin_lower_bound(h, tree_oracle.optimal_cost)
             rep.bound_tight = oracle.optimal_cost == rep.lower_bound
+            spines: Dict[Tuple[VertexId, VertexId], tuple] = {}
+            unmatched: Dict[Tuple[VertexId, ...], Tuple[bool, bool, bool, bool]] = {}
             for layout in oracle.optimal_layouts:
                 rep.optima_checked += 1
+                order = layout.vertex_at
+                verdict = unmatched.pop(order[::-1], None)
+                if verdict is None:
+                    ends = (order[0], order[-1])
+                    spine = spines.get(ends)
+                    if spine is None:
+                        spine = spines[ends] = _spine(h, layout)
+                    verdict = unmatched[order] = _structural_verdict(
+                        spine, layout.positions())
+                contiguous, monotone, disjoint, vacuous = verdict
                 failed = []
-                dec = spinal_decomposition(h, layout)  # shared by three checks
-                if not is_of_type(layout, dec.subtrees):
+                if not contiguous:
                     rep.contiguity_failures += 1
                     failed.append("contiguity")
-                if not _spine_monotone(layout, dec):
+                if not monotone:
                     rep.monotone_failures += 1
                     failed.append("monotone")
-                groups = _branch_side_groups(layout, dec)
-                if not _branches_disjoint(layout, groups):
+                if not disjoint:
                     rep.branch_failures += 1
                     failed.append("branch-overlap")
-                elif _same_side_pairs(groups) == 0:
+                elif vacuous:
                     rep.branch_vacuous_passes += 1
-                verdict = check_extremes_are_leaves(h, layout)
-                if verdict is ExtremesVerdict.VIOLATION:
+                extremes = check_extremes_are_leaves(h, layout)
+                if extremes is ExtremesVerdict.VIOLATION:
                     rep.extremes_violations += 1
                     failed.append("extremes")
-                elif verdict is ExtremesVerdict.REPAIRED_LEAF_SWAP:
+                elif extremes is ExtremesVerdict.REPAIRED_LEAF_SWAP:
                     rep.extremes_repaired += 1
                 if failed:
                     rep.counterexamples.append(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from halin_ola import (
     Layout,
     ParseError,
     SchemaVersionUnsupported,
+    TooLarge,
     build_embedded_tree,
     export_dot,
     gen_random_halin,
@@ -23,7 +25,8 @@ from halin_ola import (
     serialize_instance,
     serialize_layout,
 )
-from halin_ola.cli import main
+from halin_ola import cli
+from halin_ola.cli import _parse_corpus, main
 from halin_ola.io_formats import _load_json
 
 
@@ -414,6 +417,39 @@ class TestCliPipeline:
     def test_proptest_standard_corpus(self, capsys):
         assert main(["proptest"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+    def test_proptest_standard_corpus_digest(self, capsys):
+        # pinned before run_suite reused verdicts across endpoint and mirror pairs
+        assert main(["--json", "proptest"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "bce10ad998291ec4a2540df2705c7411f7025e1fec4e697ab6b025b7e29010c3"
+        )
+
+    @pytest.mark.parametrize("entry", [
+        "random=9,100000000", "wheel=3..100000000", ";".join(["random=9,1000"] * 11),
+        "wheel=3;" * 10_001, "random=9," + "9" * 30],
+        ids=["random", "wheel", "eleven-entries", "ten-thousand-one-entries", "beyond-ssize"])
+    def test_corpus_above_cap_exit_1(self, entry, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                _parse_corpus(entry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert main(["proptest", "--corpus", entry]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus asks for ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_corpus_cap_boundary(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_CORPUS_INSTANCES", 3)
+        assert main(["proptest", "--corpus", "wheel=3..4;random=7"]) == 0
+        capsys.readouterr()
+        assert main(["proptest", "--corpus", "wheel=3..4;random=7,2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: corpus asks for 4 instances; proptest takes at most 3\n")
 
     def test_limit_reaches_tree_optimum(self, tmp_path, capsys):
         # n = 12, a non-balanced tree, so the tree optimum needs the oracle

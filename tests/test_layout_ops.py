@@ -12,7 +12,6 @@ from halin_ola import (
     gen_random_halin,
     gen_wheel,
     halin_from_tree,
-    identity_layout,
     is_of_type,
     la_cost,
     la_total,
@@ -50,9 +49,6 @@ class TestLayout:
         lay = Layout((2, 0, 1))
         assert lay.reversed().vertex_at == (1, 0, 2)
         assert lay.first() == 2 and lay.last() == 1
-
-    def test_identity(self):
-        assert identity_layout(4).vertex_at == (0, 1, 2, 3)
 
 
 class TestCost:
@@ -92,7 +88,7 @@ class TestCost:
 
 class TestBlockOps:
     def test_sigma_swap_equal_blocks(self):
-        lay = identity_layout(6)
+        lay = Layout(tuple(range(6)))
         out = sigma_swap(lay, [0, 1], [4, 5])
         assert out.vertex_at == (4, 5, 2, 3, 0, 1)
 
@@ -103,26 +99,26 @@ class TestBlockOps:
         assert sigma_swap(sigma_swap(lay, a, b), a, b) == lay
 
     def test_sigma_swap_unequal_sizes_shifts_gap(self):
-        lay = identity_layout(6)
+        lay = Layout(tuple(range(6)))
         out = sigma_swap(lay, [0], [3, 4, 5])
         assert out.vertex_at == (3, 4, 5, 1, 2, 0)
 
     def test_sigma_swap_argument_order_irrelevant(self):
-        lay = identity_layout(6)
+        lay = Layout(tuple(range(6)))
         assert sigma_swap(lay, [4, 5], [0, 1]) == sigma_swap(lay, [0, 1], [4, 5])
 
     def test_non_contiguous_rejected(self):
         with pytest.raises(NotContiguous):
-            sigma_swap(identity_layout(5), [0, 2], [3, 4])
+            sigma_swap(Layout(tuple(range(5))), [0, 2], [3, 4])
 
     def test_overlapping_rejected(self):
         with pytest.raises(Overlapping):
-            sigma_swap(identity_layout(5), [0, 1], [1, 2])
+            sigma_swap(Layout(tuple(range(5))), [0, 1], [1, 2])
 
     def test_reverse_block(self):
-        out = reverse_block(identity_layout(5), [1, 2, 3])
+        out = reverse_block(Layout(tuple(range(5))), [1, 2, 3])
         assert out.vertex_at == (0, 3, 2, 1, 4)
-        assert reverse_block(out, [1, 2, 3]) == identity_layout(5)
+        assert reverse_block(out, [1, 2, 3]) == Layout(tuple(range(5)))
 
 
 class TestTypeAndDelta:
@@ -133,7 +129,7 @@ class TestTypeAndDelta:
 
     def test_is_of_type_needs_cover(self):
         with pytest.raises(ValueError):
-            is_of_type(identity_layout(4), [[0], [1]])
+            is_of_type(Layout(tuple(range(4))), [[0], [1]])
 
 
 class TestSpinal:

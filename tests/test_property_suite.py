@@ -1,3 +1,9 @@
+import hashlib
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from halin_ola import (
     ExtremesVerdict,
     Layout,
@@ -7,11 +13,14 @@ from halin_ola import (
     check_spine_monotone,
     check_subtree_contiguity,
     gen_caterpillar_halin,
+    gen_random_halin,
     gen_wheel,
+    generate,
     run_suite,
+    spinal_decomposition,
 )
 from halin_ola import property_suite
-from halin_ola.generators import GenSpec
+from halin_ola.generators import GenSpec, caterpillar_spec
 from halin_ola.property_suite import count_same_side_branch_pairs
 
 
@@ -115,16 +124,84 @@ class TestRunSuite:
         assert doc["instances"][0]["optimaChecked"] == 24
 
 
-def test_run_suite_decomposes_each_optimum_once(monkeypatch):
+def test_run_suite_decomposes_each_endpoint_pair_once(monkeypatch):
+    # a layout whose reversal was already checked is not decomposed, so the
+    # calls are one per endpoint pair among the first layout of each mirror pair
     calls = []
     real = property_suite.spinal_decomposition
 
     def counted(h, layout):
-        calls.append(layout)
+        calls.append((h.n, layout.first(), layout.last()))
         return real(h, layout)
 
     monkeypatch.setattr(property_suite, "spinal_decomposition", counted)
     corpus = [(GenSpec("wheel", (("spokes", s),)), gen_wheel(s)) for s in (4, 5)]
     report = run_suite(corpus)
     assert report.all_passed
-    assert len(calls) == sum(e.optima_checked for e in report.entries) > 0
+    assert sum(e.optima_checked for e in report.entries) == 96
+    assert len(calls) == len(set(calls)) == 16
+
+
+def _structural(h, layout):
+    return (check_subtree_contiguity(h, layout), check_spine_monotone(h, layout),
+            check_branch_non_overlap(h, layout), count_same_side_branch_pairs(h, layout))
+
+
+def _assert_mirror_and_endpoint_facts(h, optima):
+    """What run_suite's reuse rests on, through the public checks.
+
+    A layout and its reversal get the same structural verdicts, and
+    layouts with the same endpoints the same spinal decomposition.
+    """
+    verdicts = {lay.vertex_at: _structural(h, lay) for lay in optima}
+    decompositions = {}
+    for lay in optima:
+        mirror = lay.vertex_at[::-1]
+        if mirror not in verdicts:
+            verdicts[mirror] = _structural(h, Layout(mirror))
+        assert verdicts[lay.vertex_at] == verdicts[mirror], lay
+        dec = spinal_decomposition(h, lay)
+        assert decompositions.setdefault((lay.first(), lay.last()), dec) == dec, lay
+
+
+def test_mirror_and_endpoint_facts_on_standard_corpus(corpus):
+    for _, h in corpus:
+        _assert_mirror_and_endpoint_facts(h, brute_force_ola(h).optimal_layouts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 7), st.integers(0, 10**6))
+def test_mirror_and_endpoint_facts_on_random_halins(n, seed):
+    h = gen_random_halin(n, seed=seed)  # at most n + 2 = 9 vertices
+    assert h.n <= 9
+    _assert_mirror_and_endpoint_facts(h, brute_force_ola(h).optimal_layouts)
+
+
+def test_counterexamples_digest(monkeypatch):
+    # Failing checks on a fixed set of layouts pin the tallies and the order
+    # of counterexamples.  The monotone stand-in fails when vertex 1 sits
+    # second from either end, a set closed under reversal, as a real
+    # structural check is; the extremes stand-in is not mirror-symmetric.
+    real_spine_monotone = property_suite._spine_monotone
+    real_extremes = property_suite.check_extremes_are_leaves
+
+    def monotone(pos, path):
+        return real_spine_monotone(pos, path) and pos[1] not in (2, len(pos) - 1)
+
+    def extremes(h, layout):
+        if layout.vertex_at[1] == 2:
+            return ExtremesVerdict.VIOLATION
+        return real_extremes(h, layout)
+
+    monkeypatch.setattr(property_suite, "_spine_monotone", monotone)
+    monkeypatch.setattr(property_suite, "check_extremes_are_leaves", extremes)
+    specs = [GenSpec("wheel", (("spokes", s),)) for s in (4, 5)]
+    specs += [caterpillar_spec(2, [2, 2]), GenSpec("random", (("n", 7),), seed=3)]
+    doc = run_suite([(spec, generate(spec)) for spec in specs]).to_jsonable()
+    assert [(e["monotoneFailures"], e["extremesViolations"], len(e["counterexamples"]),
+             e["optimaChecked"]) for e in doc["instances"]] == [
+        (8, 4, 11, 16), (32, 16, 46, 80), (24, 12, 32, 72), (0, 16, 16, 96)]
+    # pinned before run_suite reused verdicts across endpoint and mirror pairs
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+        "40236f1a1173eb6126a8600ff7584f546b9cde617b216e5a1966a783cbdce2bd"
+    )
