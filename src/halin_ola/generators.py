@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ._record import record
 from .errors import BadParam, TooLarge
-from .graph_core import HalinGraph, build_embedded_tree, halin_from_tree
+from .graph_core import HalinGraph, _collector_paused, build_embedded_tree, halin_from_tree
 
 
 # The most vertices a generator builds: about 21 times the largest benchmark
@@ -62,21 +62,21 @@ def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
             break
         level *= c
     _check_size("kary", n)
+    # internal vertices take their children's ids in preorder; depths[i] is
+    # the level of stack[i], the root's being 1
     children: Dict[int, List[int]] = {}
     next_id = 1
-
-    def grow(v: int, depth: int):
-        nonlocal next_id
-        if depth > height:
-            return
+    stack, depths = [0], [1]
+    while stack:
+        v = stack.pop()
+        depth = depths.pop() + 1  # the level of v's children
         deg = k if v == 0 else c
         kids = list(range(next_id, next_id + deg))
         next_id += deg
         children[v] = kids
-        for u in kids:
-            grow(u, depth + 1)
-
-    grow(0, 1)
+        if depth <= height:
+            stack += kids[::-1]
+            depths += [depth] * deg
     return halin_from_tree(build_embedded_tree(0, children))
 
 
@@ -162,25 +162,27 @@ def generate(spec: GenSpec) -> HalinGraph:
     A caterpillar spec lists its leaf counts as ``l0, l1, ...`` after
     ``spine``.  Raises BadParam for an unknown family, a missing parameter,
     or parameters the family generator rejects, and TooLarge for an
-    instance above ``MAX_GEN_N`` vertices.
+    instance above ``MAX_GEN_N`` vertices.  The cyclic garbage collector
+    is off while the instance is built and left as the caller had it.
     """
-    params = dict(spec.params)
+    with _collector_paused():
+        params = dict(spec.params)
 
-    def param(name: str) -> int:
-        if name not in params:
-            raise BadParam(f"{spec.family} spec lacks parameter {name!r}")
-        return params[name]
+        def param(name: str) -> int:
+            if name not in params:
+                raise BadParam(f"{spec.family} spec lacks parameter {name!r}")
+            return params[name]
 
-    if spec.family == "wheel":
-        return gen_wheel(param("spokes"))
-    if spec.family == "kary":
-        return gen_kary_rbt_halin(param("k"), param("c"), param("h"))
-    if spec.family == "caterpillar":
-        leaves = [param(f"l{i}") for i in range(len(params) - 1)]
-        return gen_caterpillar_halin(param("spine"), leaves)
-    if spec.family == "random":
-        return gen_random_halin(param("n"), spec.seed)
-    raise BadParam(f"unknown family {spec.family!r}")
+        if spec.family == "wheel":
+            return gen_wheel(param("spokes"))
+        if spec.family == "kary":
+            return gen_kary_rbt_halin(param("k"), param("c"), param("h"))
+        if spec.family == "caterpillar":
+            leaves = [param(f"l{i}") for i in range(len(params) - 1)]
+            return gen_caterpillar_halin(param("spine"), leaves)
+        if spec.family == "random":
+            return gen_random_halin(param("n"), spec.seed)
+        raise BadParam(f"unknown family {spec.family!r}")
 
 
 def caterpillar_spec(spine: int, counts: Sequence[int]) -> GenSpec:

@@ -8,8 +8,10 @@ first.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from itertools import chain
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import field, record
 from .errors import CycleDetected, DisconnectedInput, DuplicateChild, InvalidSubstrate
@@ -87,6 +89,23 @@ class EmbeddedTree:
         return self.subtree_heights()[self.root]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off while a tree is built.
+
+    The decoded document and the tree are acyclic, so a collection pass over
+    them frees nothing.  The caller's collector state is restored on exit,
+    also on error; a collector that was off stays off.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def build_embedded_tree(
     root: VertexId, child_lists: Mapping[VertexId, Sequence[VertexId]]
 ) -> EmbeddedTree:
@@ -104,7 +123,7 @@ def build_embedded_tree(
     kids = chain.from_iterable(child_lists.values())
     mentioned = set(chain((root,), child_lists, kids))
     n = len(mentioned)
-    if not all(map(mentioned.__contains__, range(n))):
+    if not mentioned.issuperset(range(n)):
         raise DisconnectedInput(
             f"vertex ids must be the contiguous range 0..{n - 1}, got {sorted(mentioned)}"
         )
@@ -153,9 +172,10 @@ def validate_halin_substrate(tree: EmbeddedTree) -> List[str]:
         violations.append(f"needs >= 3 leaves, has {n_leaves}")
     if len(children[tree.root]) < 3:
         violations.append(f"root has {len(children[tree.root])} children, needs >= 3")
-    for v, cs in enumerate(children):
-        if len(cs) == 1 and v != tree.root:
-            violations.append(f"internal vertex {v} has 1 child, needs >= 2")
+    sizes = list(map(len, children))
+    if sizes.count(1) > (sizes[tree.root] == 1):  # some non-root vertex has one child
+        violations += [f"internal vertex {v} has 1 child, needs >= 2"
+                       for v, k in enumerate(sizes) if k == 1 and v != tree.root]
     return violations
 
 

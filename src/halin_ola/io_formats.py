@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Dict, List, Optional
 
 from .errors import ParseError, SchemaVersionUnsupported
-from .graph_core import HalinGraph, build_embedded_tree, halin_from_tree
+from .graph_core import HalinGraph, _collector_paused, build_embedded_tree, halin_from_tree
 from .layout_ops import Layout
 
 SCHEMA_VERSION = 1
@@ -75,23 +75,48 @@ def _check_fields(doc: dict, allowed: set, where: str, strict: bool) -> List[str
 def parse_instance(data: bytes, strict: bool = True) -> HalinGraph:
     """Parse an instance file into a validated Halin graph.
 
-    Unknown fields are rejected in strict mode, ignored otherwise.
+    Unknown fields are rejected in strict mode, ignored otherwise.  The
+    cyclic garbage collector is off while the file is decoded and the
+    graph built, and left as the caller had it.
     Raises ParseError, SchemaVersionUnsupported, or InvalidSubstrate.
     """
-    doc = _load_json(data)
-    if not isinstance(doc, dict):
-        raise ParseError("instance file must be a JSON object")
-    _check_version(doc)
-    _check_fields(doc, _INSTANCE_FIELDS, "instance", strict)
-    tree_doc = doc.get("tree")
-    if not isinstance(tree_doc, dict):
-        raise ParseError("missing or malformed 'tree' object")
-    _check_fields(tree_doc, _TREE_FIELDS, "tree", strict)
-    root = tree_doc.get("root")
-    children_doc = tree_doc.get("children")
-    if type(root) is not int or not isinstance(children_doc, dict):
-        raise ParseError("'tree' needs integer 'root' and object 'children'")
-    children: Dict[int, List[int]] = {}
+    with _collector_paused():
+        doc = _load_json(data)
+        if not isinstance(doc, dict):
+            raise ParseError("instance file must be a JSON object")
+        _check_version(doc)
+        _check_fields(doc, _INSTANCE_FIELDS, "instance", strict)
+        tree_doc = doc.get("tree")
+        if not isinstance(tree_doc, dict):
+            raise ParseError("missing or malformed 'tree' object")
+        _check_fields(tree_doc, _TREE_FIELDS, "tree", strict)
+        root = tree_doc.get("root")
+        children_doc = tree_doc.get("children")
+        if type(root) is not int or not isinstance(children_doc, dict):
+            raise ParseError("'tree' needs integer 'root' and object 'children'")
+        return halin_from_tree(build_embedded_tree(root, _child_map(children_doc)))
+
+
+def _child_map(children_doc: dict) -> Dict[int, List[int]]:
+    """The child map with integer keys, checked in a few whole-map passes.
+
+    Keys must be canonical integers and values integer arrays; only when a
+    pass fails is the map walked key by key, to name the first offender.
+    """
+    keys = list(children_doc)
+    lists = list(children_doc.values())
+    try:
+        ids = list(map(int, keys))
+        canonical = list(map(str, ids)) == keys
+    except ValueError:
+        canonical = False
+    if not (canonical and set(map(type, lists)) <= {list}
+            and set(map(type, chain.from_iterable(lists))) <= _INT):
+        _raise_first_bad_key(children_doc)
+    return dict(zip(ids, lists))
+
+
+def _raise_first_bad_key(children_doc: dict):
     for key, kids in children_doc.items():
         try:
             v = int(key)
@@ -101,8 +126,6 @@ def parse_instance(data: bytes, strict: bool = True) -> HalinGraph:
             raise ParseError(f"child-map key {key!r} is not a canonical integer")
         if type(kids) is not list or not set(map(type, kids)) <= _INT:
             raise ParseError(f"children of {key} must be an integer array")
-        children[v] = kids
-    return halin_from_tree(build_embedded_tree(root, children))
 
 
 def instance_metadata(data: bytes) -> Optional[dict]:

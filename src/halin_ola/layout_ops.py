@@ -23,8 +23,10 @@ class Layout:
     vertex_at: Tuple[VertexId, ...]
 
     def __post_init__(self):
-        n = len(self.vertex_at)
-        if sorted(self.vertex_at) != list(range(n)):
+        # n distinct entries that include all of 0..n-1 are exactly those
+        # ids, the verdict of comparing the sorted tuple with range(n)
+        ids = set(self.vertex_at)
+        if len(ids) != len(self.vertex_at) or not ids.issuperset(range(len(ids))):
             raise ValueError("vertex_at must be a permutation of 0..n-1")
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import record
 from .errors import BadParam, HalinOlaError, NotRecursivelyBalanced, TooLarge
@@ -260,23 +260,33 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]], layout_cap: int) -> Ora
     kept: List[Tuple[int, ...]] = []
     prefix: List[int] = []
 
-    def walk(s: int):
-        if s == full:
+    bits = [(v, 1 << v) for v in range(n)]
+
+    def steps(s: int) -> Iterator[Tuple[int, int]]:
+        """(v, s | 1 << v) for each v outside s whose step keeps h minimal."""
+        nxt = [(v, s | b) for v, b in bits if not s & b]
+        best = min([h[t] for _, t in nxt])
+        return iter([vt for vt in nxt if h[vt[1]] == best])
+
+    # iterative, so the walk holds no reference to itself: one step
+    # iterator per prefix on the current path
+    stack = [steps(0)] if want else []
+    while stack:
+        for v, t in stack[-1]:
+            prefix.append(v)
+            if t != full:
+                stack.append(steps(t))
+                break
             if prefix[0] < prefix[-1]:
                 kept.append(tuple(prefix))
-            return
-        nxt = [(v, s | 1 << v) for v in range(n) if not s >> v & 1]
-        best = min(h[t] for _, t in nxt)
-        for v, t in nxt:
-            if h[t] == best:
-                prefix.append(v)
-                walk(t)
-                prefix.pop()
                 if len(kept) == want:
-                    return
-
-    if want:
-        walk(0)
+                    stack.clear()
+                    break
+            prefix.pop()
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
     layouts: List[Layout] = []
     for t in kept:
         layouts += (Layout(t), Layout(t[::-1]))

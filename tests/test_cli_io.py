@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halin_ola import (
+    CycleDetected,
+    DisconnectedInput,
+    DuplicateChild,
     InvalidSubstrate,
     Layout,
     ParseError,
@@ -112,6 +115,79 @@ class TestStrictIntegers:
         inst.write_bytes(serialize_instance(gen_wheel(3)))
         lay.write_bytes(data)
         assert main(["cost", "-i", str(inst), "-l", str(lay)]) == 2
+
+
+def _children_bytes(children, root=0) -> bytes:
+    return _instance_bytes({"root": root, "children": children})
+
+
+class TestParseErrorMessages:
+    """Every parse and tree-build error: its class and its exact message.
+
+    The child map is checked key by key in file order, so the first offender
+    is the one named, whichever check it fails.
+    """
+
+    CASES = {
+        "bad-key": ({"0": [1, 2, 3], "x": [4, 5]}, ParseError,
+                    "child-map key 'x' is not an integer"),
+        "non-canonical-key": ({"0": [1, 2, 3], "01": [4, 5]}, ParseError,
+                              "child-map key '01' is not a canonical integer"),
+        "non-list": ({"0": {"1": 2}}, ParseError,
+                     "children of 0 must be an integer array"),
+        "non-int": ({"0": [1, 2, 3.0]}, ParseError,
+                    "children of 0 must be an integer array"),
+        "bool": ({"0": [1, 2, 3], "1": [False, 4]}, ParseError,
+                 "children of 1 must be an integer array"),
+        "first-offender-wins": ({"0": [1, 2, "3"], "y": [4]}, ParseError,
+                                "children of 0 must be an integer array"),
+        "first-key-wins": ({"y": [4], "0": [1, 2, "3"]}, ParseError,
+                           "child-map key 'y' is not an integer"),
+        "range": ({"0": [1, 2, 5]}, DisconnectedInput,
+                  "vertex ids must be the contiguous range 0..3, got [0, 1, 2, 5]"),
+        "self-child": ({"0": [1, 2, 3], "1": [1, 4]}, CycleDetected,
+                       "vertex 1 is its own child"),
+        "root-as-child": ({"0": [1, 2, 3], "1": [4, 0]}, CycleDetected,
+                          "the root cannot be a child of 1"),
+        "child-twice": ({"0": [1, 2, 1, 3]}, DuplicateChild,
+                        "vertex 0 lists child 1 twice"),
+        "two-parents": ({"0": [1, 2, 3], "1": [4, 5], "2": [5, 6]}, DuplicateChild,
+                        "vertex 5 has two parents"),
+        "first-edge-wins": ({"0": [1, 2, 3], "1": [2, 1]}, DuplicateChild,
+                            "vertex 2 has two parents"),
+        "unreachable": ({"0": [1, 2, 3], "4": [5, 6], "5": [4]}, DisconnectedInput,
+                        "child lists do not connect every vertex to the root"),
+        "substrate": ({"0": [1, 2]}, InvalidSubstrate,
+                      "needs >= 3 leaves, has 2; root has 2 children, needs >= 3"),
+        "substrate-inner": ({"0": [1, 2, 3], "1": [4], "2": [5, 6]}, InvalidSubstrate,
+                            "internal vertex 1 has 1 child, needs >= 2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parse_instance(self, case, tmp_path, capsys):
+        children, error, message = self.CASES[case]
+        data = _children_bytes(children)
+        with pytest.raises(error) as info:
+            parse_instance(data)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        inst = tmp_path / "bad.json"
+        inst.write_bytes(data)
+        assert main(["export-dot", "-i", str(inst), "-o", str(tmp_path / "x.dot")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("case", sorted(
+        case for case, (_c, error, _m) in CASES.items() if error is not ParseError))
+    def test_build_embedded_tree(self, case):
+        children, error, message = self.CASES[case]
+        with pytest.raises(error) as info:
+            halin_from_tree(build_embedded_tree(0, {int(k): v for k, v in children.items()}))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_tree_object_shape(self):
+        with pytest.raises(ParseError, match="^'tree' needs integer 'root' and object"):
+            parse_instance(_instance_bytes({"root": 0, "children": [[1, 2, 3]]}))
 
 
 def _relabeled_halin(data, max_n):
@@ -413,6 +489,20 @@ class TestCliPipeline:
              "-o", str(out)]
         ) == 0
         assert main(["verify", "-i", str(inst), "-l", str(out), "--oracle"]) == 0
+
+    def test_rearrange_rejects_layout_without_equal_blocks(self, tmp_path, capsys):
+        # an optimal tree layout of kary(3,2,2) (cost 15) whose root block
+        # does not split into equal child slots
+        inst = tmp_path / "t.json"
+        tl = tmp_path / "tree.layout.json"
+        assert main(["gen", "--family", "kary", "--k", "3", "--c", "2", "--h", "2",
+                     "-o", str(inst)]) == 0
+        tl.write_bytes(serialize_layout(Layout((8, 3, 9, 4, 0, 1, 5, 2, 6, 7))))
+        capsys.readouterr()
+        assert main(["solve", "--method", "rearrange", "-i", str(inst), "-t", str(tl),
+                     "-o", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: subtree of 0 does not split into equal blocks around it\n")
 
     def test_proptest_standard_corpus(self, capsys):
         assert main(["proptest"]) == 0

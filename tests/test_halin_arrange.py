@@ -11,6 +11,7 @@ import halin_ola
 
 from halin_ola import (
     Layout,
+    NotContiguous,
     NotRbt,
     NotTreeOptimalInput,
     brute_force_ola,
@@ -99,6 +100,21 @@ class TestRearrange:
                 cur = reverse_block(cur, b)
             assert la_total(h.tree, cur) == base
         assert cur == out
+
+    def test_rejects_optimal_layouts_without_equal_blocks(self):
+        # optimal tree layouts need not be block-structured; the walk
+        # refuses those, naming the vertex whose block does not split
+        h = gen_kary_rbt_halin(3, 2, 2)
+        optima = brute_force_ola(h.tree, layout_cap=2000).optimal_layouts
+        refused = 0
+        for lay in optima:
+            try:
+                rearrange_to_halin_ola(h, lay)
+            except NotContiguous as exc:
+                assert str(exc) == "subtree of 0 does not split into equal blocks around it"
+                assert la_total(h.tree, lay) == 15
+                refused += 1
+        assert (len(optima), refused) == (1152, 384)
 
     def test_rejects_non_rbt(self):
         h = gen_caterpillar_halin(3, [2, 1, 2])

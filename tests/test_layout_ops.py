@@ -45,6 +45,23 @@ class TestLayout:
         with pytest.raises(ValueError):
             Layout((0, 0, 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-3, 12), max_size=12),
+        st.integers(0, 12).flatmap(lambda n: st.permutations(list(range(n)))),
+        st.integers(1, 12).flatmap(lambda n: st.permutations(list(range(n))).flatmap(
+            lambda p: st.tuples(st.integers(0, n - 1), st.integers(-2, n + 1)).map(
+                lambda ix: p[:ix[0]] + [ix[1]] + p[ix[0] + 1:]))),
+    ))
+    def test_verdict_equals_sorting(self, ids):
+        # any int tuple is accepted exactly when it sorts to 0..n-1
+        try:
+            Layout(tuple(ids))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (sorted(ids) == list(range(len(ids))))
+
     def test_reversed(self):
         lay = Layout((2, 0, 1))
         assert lay.reversed().vertex_at == (1, 0, 2)
