@@ -273,7 +273,8 @@ def _cmd_proptest(args) -> int:
 def _cmd_export_dot(args) -> int:
     h = _load_instance(args.input)
     layout = _load_layout(args.layout, h) if args.layout else None
-    _write(args.output, export_dot(h, layout).encode("utf-8"))
+    with open(args.output, "wb") as f:  # only once both inputs are checked
+        export_dot(h, layout, out=f)
     print(f"wrote {args.output}")
     return 0
 

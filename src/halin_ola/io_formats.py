@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
-from typing import Dict, List, Optional
+from itertools import chain, islice
+from typing import BinaryIO, Dict, Iterator, List, Optional
 
 from .errors import ParseError, SchemaVersionUnsupported
 from .graph_core import HalinGraph, _collector_paused, build_embedded_tree, halin_from_tree
@@ -65,19 +65,17 @@ def _check_version(doc: dict):
         )
 
 
-def _check_fields(doc: dict, allowed: set, where: str, strict: bool) -> List[str]:
+def _check_fields(doc: dict, allowed: set, where: str):
     unknown = sorted(set(doc) - allowed)
-    if unknown and strict:
+    if unknown:
         raise ParseError(f"unknown field(s) in {where}: {', '.join(unknown)}")
-    return [f"ignoring unknown field {f!r} in {where}" for f in unknown]
 
 
-def parse_instance(data: bytes, strict: bool = True) -> HalinGraph:
+def parse_instance(data: bytes) -> HalinGraph:
     """Parse an instance file into a validated Halin graph.
 
-    Unknown fields are rejected in strict mode, ignored otherwise.  The
-    cyclic garbage collector is off while the file is decoded and the
-    graph built, and left as the caller had it.
+    Unknown fields are rejected.  The cyclic garbage collector is off while
+    the file is decoded and the graph built, and left as the caller had it.
     Raises ParseError, SchemaVersionUnsupported, or InvalidSubstrate.
     """
     with _collector_paused():
@@ -85,11 +83,11 @@ def parse_instance(data: bytes, strict: bool = True) -> HalinGraph:
         if not isinstance(doc, dict):
             raise ParseError("instance file must be a JSON object")
         _check_version(doc)
-        _check_fields(doc, _INSTANCE_FIELDS, "instance", strict)
+        _check_fields(doc, _INSTANCE_FIELDS, "instance")
         tree_doc = doc.get("tree")
         if not isinstance(tree_doc, dict):
             raise ParseError("missing or malformed 'tree' object")
-        _check_fields(tree_doc, _TREE_FIELDS, "tree", strict)
+        _check_fields(tree_doc, _TREE_FIELDS, "tree")
         root = tree_doc.get("root")
         children_doc = tree_doc.get("children")
         if type(root) is not int or not isinstance(children_doc, dict):
@@ -162,12 +160,12 @@ def serialize_instance(h: HalinGraph, metadata: Optional[dict] = None) -> bytes:
             f'    "root": {h.tree.root}\n  }}\n}}\n').encode("utf-8")
 
 
-def parse_layout(data: bytes, strict: bool = True) -> Layout:
+def parse_layout(data: bytes) -> Layout:
     doc = _load_json(data)
     if not isinstance(doc, dict):
         raise ParseError("layout file must be a JSON object")
     _check_version(doc)
-    _check_fields(doc, _LAYOUT_FIELDS, "layout", strict)
+    _check_fields(doc, _LAYOUT_FIELDS, "layout")
     arr = doc.get("vertexAt")
     if type(arr) is not list or not set(map(type, arr)) <= _INT:
         raise ParseError("'vertexAt' must be an integer array")
@@ -183,24 +181,50 @@ def serialize_layout(layout: Layout) -> bytes:
             f'  "vertexAt": {vertex_at}\n}}\n').encode("utf-8")
 
 
-def export_dot(h: HalinGraph, layout: Optional[Layout] = None) -> str:
+# the most DOT lines one piece of export_dot's output holds
+_DOT_PIECE_LINES = 4096
+
+
+def export_dot(h: HalinGraph, layout: Optional[Layout] = None,
+               out: Optional[BinaryIO] = None) -> Optional[str]:
     """DOT rendering: tree edges dashed, cycle edges bold.
 
-    With a layout, vertices are labeled "name:position".
+    With a layout, vertices are labeled "name:position".  The text is made
+    in pieces of at most ``_DOT_PIECE_LINES`` lines.  Without ``out`` they
+    are joined and returned.  With ``out``, a binary file, each piece is
+    written to it as UTF-8 and dropped, and None is returned; only one piece
+    is held at a time, so the whole text (3.6 MB at n = 49,150) never is.
+    The CLI opens its output file only after the instance and layout have
+    been parsed and their sizes checked, so a rejected input writes nothing.
     """
-    # each block is one %-format over a repeated line template, so no
+    pieces = _dot_pieces(h, layout)
+    if out is None:
+        return "".join(pieces)
+    for piece in pieces:
+        out.write(piece.encode("utf-8"))
+    return None
+
+
+def _dot_pieces(h: HalinGraph, layout: Optional[Layout]) -> Iterator[str]:
+    # each piece is one %-format over a repeated line template, so no
     # per-line strings are built
+    lines = _DOT_PIECE_LINES
     tree = h.tree
-    ids = tree.vertices
-    if layout is None:
-        out = ["  %d;\n" * tree.n % tuple(ids)]
-    else:
-        cells = chain.from_iterable(zip(ids, ids, layout.positions()))
-        out = ['  %d [label="%d:%d"];\n' * tree.n % tuple(cells)]
+    yield "graph halin {\n"
+    for lo in range(0, tree.n, lines):
+        ids = tree.vertices[lo:lo + lines]
+        if layout is None:
+            yield "  %d;\n" * len(ids) % tuple(ids)
+        else:
+            cells = chain.from_iterable(zip(ids, ids, layout.positions()[lo:lo + lines]))
+            yield '  %d [label="%d:%d"];\n' * len(ids) % tuple(cells)
     tree_pairs = ((v, c) for v, cs in enumerate(tree.children) for c in cs)
-    for style, pairs in (("dashed", tree_pairs), ("bold", h.cycle_pairs())):
-        ends: List[int] = []  # both endpoints of every edge, smaller id first
-        for a, b in pairs:
-            ends += (a, b) if a < b else (b, a)
-        out.append(f"  %d -- %d [style={style}];\n" * (len(ends) // 2) % tuple(ends))
-    return "graph halin {\n" + "".join(out) + "}\n"
+    for style, pairs in (("dashed", tree_pairs), ("bold", iter(h.cycle_pairs()))):
+        while True:
+            ends: List[int] = []  # both endpoints of each edge, smaller id first
+            for a, b in islice(pairs, lines):
+                ends += (a, b) if a < b else (b, a)
+            if not ends:
+                break
+            yield f"  %d -- %d [style={style}];\n" * (len(ends) // 2) % tuple(ends)
+    yield "}\n"

@@ -320,8 +320,8 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
         raise TooLarge(f"n={n} exceeds oracle limit {limit}")
     if n > _ORACLE_MAX_N:
         raise TooLarge(f"n={n} exceeds the oracle's hard ceiling {_ORACLE_MAX_N}")
-    if n == 1:
-        return OracleResult(0, (Layout((0,)),)[:layout_cap], 1, 1)
+    if n <= 1:  # the scan's result: one layout, of cost 0
+        return OracleResult(0, (Layout(tuple(range(n))),)[:layout_cap], 1, 1)
     if pruned:
         return _subset_dp(n, g.edges(), layout_cap)
     return _scan_all_permutations(n, g.edges(), layout_cap)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import halin_ola
 from halin_ola import (
     BadParam,
+    Layout,
     NotRecursivelyBalanced,
+    OracleResult,
     SimpleGraph,
     TooLarge,
     VisitCounter,
@@ -218,6 +220,13 @@ class TestOracle:
         res = brute_force_ola(build_embedded_tree(0, {}))
         assert res.optimal_cost == 0
         assert res.optimal_count == 1
+
+    @pytest.mark.parametrize("cap", [0, 1, LAYOUT_CAP])
+    def test_empty_graph(self, cap):
+        # both paths give the scan's result: the one empty layout, of cost 0
+        want = OracleResult(0, (Layout(()),)[:cap], 1, 1)
+        for pruned in (True, False):
+            assert brute_force_ola(SimpleGraph(0, ()), pruned=pruned, layout_cap=cap) == want
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 6))
