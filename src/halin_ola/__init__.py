@@ -5,6 +5,8 @@ added) whose leaves are joined by a cycle in embedding order.  This package
 computes optimal linear arrangements for the recursively-balanced subclass
 in near-linear time, provides an exact oracle and structural property
 checks for small instances, and ships a CLI over stable JSON file formats.
+The property checks run through ``run_suite`` and
+``check_extremes_are_leaves``; the spinal decomposition is private to them.
 """
 
 from .errors import (
@@ -15,7 +17,6 @@ from .errors import (
     HalinOlaError,
     InvalidSubstrate,
     NotContiguous,
-    NotRbt,
     NotRecursivelyBalanced,
     NotTreeOptimalInput,
     Overlapping,
@@ -34,17 +35,11 @@ from .graph_core import (
 )
 from .layout_ops import (
     ArrangementReport,
-    Branch,
     Layout,
-    SpinalDecomposition,
-    is_of_type,
     la_cost,
     la_total,
     reverse_block,
     sigma_swap,
-    spinal_decomposition,
-    spinal_path,
-    tree_path,
 )
 from .tree_ola import (
     OracleResult,
@@ -52,7 +47,6 @@ from .tree_ola import (
     SimpleGraph,
     VisitCounter,
     brute_force_ola,
-    central_vertex,
     complete_graph,
     cycle_graph,
     is_recursively_balanced,
@@ -85,10 +79,7 @@ from .property_suite import (
     ExtremesVerdict,
     InstanceReport,
     SuiteReport,
-    check_branch_non_overlap,
     check_extremes_are_leaves,
-    check_spine_monotone,
-    check_subtree_contiguity,
     run_suite,
 )
 from .io_formats import (

@@ -49,9 +49,16 @@ class _Usage(Exception):
     pass
 
 
+class _Help(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _Usage(message)
+
+    def exit(self, status=0, message=None):  # reached only after -h printed help
+        raise _Help()
 
 
 def _read(path: str) -> bytes:
@@ -377,6 +384,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         as_json = args.json
         return args.func(args)
+    except _Help:
+        return 0
     except (_Usage, BadParam, NotRecursivelyBalanced, NotTreeOptimalInput,
             TooLarge) as exc:
         _emit_error(exc, as_json, 1)

@@ -43,10 +43,6 @@ class NotRecursivelyBalanced(HalinOlaError):
     pass
 
 
-# Name used by the Halin rearrangement surface.
-NotRbt = NotRecursivelyBalanced
-
-
 class NotTreeOptimalInput(HalinOlaError):
     """Input layout is not an optimal arrangement of the underlying tree."""
 

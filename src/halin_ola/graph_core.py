@@ -71,10 +71,6 @@ class EmbeddedTree:
                 size[v] += size[c]
         return size
 
-    def dfs_order(self) -> List[VertexId]:
-        """Preorder traversal following child-list (embedding) order."""
-        return list(self._preorder)
-
     def subtree_heights(self) -> List[int]:
         """Height of the subtree rooted at each vertex, a leaf counting as 1."""
         height = [1] * self.n
@@ -83,10 +79,6 @@ class EmbeddedTree:
                 if height[c] >= height[v]:
                     height[v] = height[c] + 1
         return height
-
-    def height(self) -> int:
-        """Height counting a single vertex as 1."""
-        return self.subtree_heights()[self.root]
 
 
 @contextmanager
@@ -203,9 +195,6 @@ class HalinGraph:
         """Vertex pairs, smaller id first: the tree's edges, then the cycle's."""
         return self.tree.edges() + [(a, b) if a < b else (b, a)
                                     for a, b in self.cycle_pairs()]
-
-    def degree(self, v: VertexId) -> int:
-        return self.tree.degree(v) + (2 if self.tree.is_leaf(v) else 0)
 
 
 def halin_from_tree(tree: EmbeddedTree) -> HalinGraph:

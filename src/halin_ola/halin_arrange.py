@@ -17,7 +17,7 @@ import random
 from typing import List, Tuple
 
 from ._record import record
-from .errors import HalinOlaError, NotContiguous, NotRbt, NotTreeOptimalInput
+from .errors import HalinOlaError, NotContiguous, NotRecursivelyBalanced, NotTreeOptimalInput
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 from .layout_ops import Layout, la_cost, la_total, reverse_block, sigma_swap
 from .tree_ola import _balanced_layout, is_recursively_balanced, rbt_ola
@@ -234,9 +234,9 @@ def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, 
     leftmost slot; its rightmost partner ends up being its embedding
     successor on the cycle.
 
-    Raises NotRbt, NotTreeOptimalInput (input cost differs from the
-    recursively-balanced optimum), or NotContiguous (input layout is not
-    block-structured).  The result is checked against the bound before it
+    Raises NotRecursivelyBalanced, NotTreeOptimalInput (input cost differs
+    from the recursively-balanced optimum), or NotContiguous (input layout
+    is not block-structured).  The result is checked against the bound before it
     is returned (also under ``python -O``); a miss raises HalinOlaError.
     """
     tree = h.tree
@@ -286,10 +286,10 @@ def direct_rbt_halin_ola(h: HalinGraph) -> Layout:
     engine, so it serves as an independent cross-check of
     ``rearrange_to_halin_ola``.
 
-    Raises NotRbt.
+    Raises NotRecursivelyBalanced.
     """
     if not is_recursively_balanced(h.tree).verdict:
-        raise NotRbt("underlying tree is not recursively balanced")
+        raise NotRecursivelyBalanced("underlying tree is not recursively balanced")
     return _balanced_layout(h.tree, mirror=True)
 
 
@@ -300,6 +300,10 @@ def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
     Fisher-Yates shuffle of the slots) with the rearranger's cost-free
     exchanges.  Useful for producing inputs whose rearrangement trace is
     non-trivial.
+
+    Raises NotContiguous when ``layout`` is not block-structured.  Neither
+    balance nor cost is checked first, so each of the walk's refusals is
+    reachable here.
     """
     rng = random.Random(seed)
 

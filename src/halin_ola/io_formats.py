@@ -51,6 +51,8 @@ def _load_json(data: bytes) -> object:
         raise ParseError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParseError(str(exc)) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
 

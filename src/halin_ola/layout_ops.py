@@ -6,7 +6,7 @@ operation returns a fresh layout.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from ._record import record
 from .errors import NotContiguous, Overlapping
@@ -55,12 +55,6 @@ class Layout:
     def reversed(self) -> "Layout":
         return Layout(tuple(reversed(self.vertex_at)))
 
-    def first(self) -> VertexId:
-        return self.vertex_at[0]
-
-    def last(self) -> VertexId:
-        return self.vertex_at[-1]
-
 
 GraphLike = Union[EmbeddedTree, HalinGraph]
 
@@ -93,31 +87,6 @@ def la_cost(g: GraphLike, layout: Layout) -> ArrangementReport:
 def la_total(g: GraphLike, layout: Layout) -> int:
     """Total LA cost of ``layout``."""
     return la_cost(g, layout).total_cost
-
-
-BlockPartition = Sequence[Iterable[VertexId]]
-
-
-def is_of_type(layout: Layout, partition: BlockPartition) -> bool:
-    """True iff every block of ``partition`` wholly precedes the next one."""
-    blocks = [list(block) for block in partition]
-    if not _blocks_in_order(layout.positions(), blocks):
-        return False
-    if sum(map(len, blocks)) != layout.n:
-        raise ValueError("partition does not cover all vertices")
-    return True
-
-
-def _blocks_in_order(pos: Sequence[int], blocks: Iterable[Sequence[VertexId]]) -> bool:
-    """True iff every non-empty block's positions all precede the next one's."""
-    prev_max = 0
-    for block in blocks:
-        if block:
-            ps = [pos[v] for v in block]
-            if min(ps) <= prev_max:
-                return False
-            prev_max = max(ps)
-    return True
 
 
 def _contiguous_range(layout: Layout, block: Iterable[VertexId]) -> Tuple[int, int]:
@@ -163,100 +132,3 @@ def reverse_block(layout: Layout, block: Iterable[VertexId]) -> Layout:
     order = list(layout.vertex_at)
     order[lo - 1:hi] = reversed(order[lo - 1:hi])
     return Layout(tuple(order))
-
-
-def tree_path(tree: EmbeddedTree, u: VertexId, v: VertexId) -> List[VertexId]:
-    """Unique tree path from u to v (inclusive)."""
-    seen_depth = {}
-    a = u
-    up_a = [a]
-    while a is not None:
-        seen_depth[a] = len(up_a) - 1
-        a = tree.parent[a]
-        if a is not None:
-            up_a.append(a)
-    up_b = [v]
-    b = v
-    while b not in seen_depth:
-        b = tree.parent[b]
-        up_b.append(b)
-    lca = b
-    head = up_a[: seen_depth[lca] + 1]  # u .. lca
-    return head + list(reversed(up_b[:-1]))
-
-
-def spinal_path(g: GraphLike, layout: Layout) -> List[VertexId]:
-    """Tree path between the vertices at positions 1 and n.
-
-    Requires n >= 2 (the notion degenerates on a single vertex).
-    """
-    if layout.n < 2:
-        raise ValueError("spinal path needs at least two vertices")
-    tree = g.tree if isinstance(g, HalinGraph) else g
-    return tree_path(tree, layout.first(), layout.last())
-
-
-@record(frozen=True)
-class Branch:
-    anchor: VertexId
-    vertices: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-@record(frozen=True)
-class SpinalDecomposition:
-    path: Tuple[VertexId, ...]
-    subtrees: Tuple[frozenset, ...]          # vertex sets, subtrees[i] owns path[i]
-    branches: Tuple[Tuple[Branch, ...], ...]  # per spinal vertex
-
-    @property
-    def subtree_sizes(self) -> Tuple[int, ...]:
-        return tuple(len(s) for s in self.subtrees)
-
-
-def spinal_decomposition(g: GraphLike, layout: Layout) -> SpinalDecomposition:
-    """Split the tree along the spinal path of ``layout``.
-
-    Removing the spinal (and, for Halin graphs, cycle) edges leaves one
-    subtree per spinal vertex; removing the spinal vertex from its subtree
-    leaves its anchored branches.  Only the first and last vertex of
-    ``layout`` are read.
-    """
-    tree = g.tree if isinstance(g, HalinGraph) else g
-    path = spinal_path(g, layout)
-    on_path = set(path)
-    path_edges = {frozenset(p) for p in zip(path, path[1:])}
-
-    adjacency: List[List[VertexId]] = [[] for _ in tree.vertices]
-    for v in tree.vertices:
-        for c in tree.children[v]:
-            if frozenset((v, c)) not in path_edges:
-                adjacency[v].append(c)
-                adjacency[c].append(v)
-
-    def component(start: VertexId, banned: Set[VertexId]) -> Set[VertexId]:
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y not in comp and y not in banned:
-                    comp.add(y)
-                    stack.append(y)
-        return comp
-
-    subtrees = []
-    branches = []
-    for w in path:
-        sub = component(w, banned=set())
-        subtrees.append(frozenset(sub))
-        anchored = []
-        for a in adjacency[w]:
-            anchored.append(Branch(anchor=a, vertices=frozenset(component(a, banned={w}))))
-        branches.append(tuple(anchored))
-    return SpinalDecomposition(
-        path=tuple(path), subtrees=tuple(subtrees), branches=tuple(branches)
-    )

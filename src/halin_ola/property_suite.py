@@ -5,7 +5,9 @@ subtrees occupy contiguous blocks in spine order, spine positions increase
 monotonically, same-side branches of a spinal vertex do not interleave, and
 both extreme positions hold tree leaves (up to a degree-3 relabel).  The
 suite runs these checks against every brute-force optimum of a corpus and
-reports violations with full counterexamples.
+reports violations with full counterexamples.  Its public route is
+``run_suite`` plus ``check_extremes_are_leaves``; the spinal decomposition
+and the three lemma checks on it are private to this module.
 """
 
 from __future__ import annotations
@@ -16,29 +18,60 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ._record import field, record
 from .errors import HalinOlaError
 from .generators import GenSpec
-from .graph_core import HalinGraph, VertexId
+from .graph_core import EmbeddedTree, HalinGraph, VertexId
 from .halin_arrange import halin_lower_bound
-from .layout_ops import Layout, _blocks_in_order, la_total, spinal_decomposition
+from .layout_ops import Layout, la_total
 from .tree_ola import brute_force_ola
 
 
-def _spine(h: HalinGraph, layout: Layout) -> tuple:
-    """The spinal decomposition as plain vertex tuples, read via positions:
-    (path, subtrees, branches), where subtrees[i] owns path[i] and
-    branches[i] holds the vertices of each branch anchored at path[i]."""
-    dec = spinal_decomposition(h, layout)
-    return (dec.path, tuple(tuple(s) for s in dec.subtrees),
-            tuple(tuple(tuple(br.vertices) for br in brs) for brs in dec.branches))
+def _spine(tree: EmbeddedTree, first: VertexId, last: VertexId) -> tuple:
+    """The spinal decomposition of a layout that starts at ``first`` and ends
+    at ``last``, as vertex tuples: (path, subtrees, branches).
+
+    The path is the tree path from ``first`` to ``last``.  Removing its
+    edges leaves one subtree per path vertex, subtrees[i] owning path[i];
+    removing path[i] from its subtree leaves the branches anchored at it,
+    branches[i] holding the vertices of each.  Each off-path neighbour of
+    path[i] anchors one branch: its component once path[i] is removed,
+    which holds no path vertex, as its tree path to one runs via path[i].
+    """
+    parent, children = tree.parent, tree.children
+    up = [first]
+    while parent[up[-1]] is not None:
+        up.append(parent[up[-1]])
+    depth = {v: i for i, v in enumerate(up)}
+    down = [last]
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    path = (*up[:depth[down[-1]]], *reversed(down))
+    subtrees, branches = [], []
+    for i, w in enumerate(path):
+        beside = path[max(i - 1, 0):i + 2]
+        at_w = []
+        for a in (*children[w], parent[w]):
+            if a is None or a in beside:
+                continue
+            branch, stack = [], [(a, w)]
+            while stack:
+                x, came = stack.pop()
+                branch.append(x)
+                stack += [(y, x) for y in (*children[x], parent[x])
+                          if y is not None and y != came]
+            at_w.append(tuple(branch))
+        subtrees.append((w, *(v for branch in at_w for v in branch)))
+        branches.append(tuple(at_w))
+    return path, tuple(subtrees), tuple(branches)
 
 
-def check_subtree_contiguity(h: HalinGraph, layout: Layout) -> bool:
-    """Spinal subtrees occupy contiguous position blocks in spine order."""
-    return _blocks_in_order(layout.positions(), _spine(h, layout)[1])
-
-
-def check_spine_monotone(h: HalinGraph, layout: Layout) -> bool:
-    """Positions strictly increase along the spinal path."""
-    return _spine_monotone(layout.positions(), _spine(h, layout)[0])
+def _blocks_in_order(pos: Sequence[int], blocks: Sequence[Sequence[VertexId]]) -> bool:
+    """True iff every block's positions all precede the next block's."""
+    prev_max = 0
+    for block in blocks:
+        ps = [pos[v] for v in block]
+        if min(ps) <= prev_max:
+            return False
+        prev_max = max(ps)
+    return True
 
 
 def _spine_monotone(pos: Sequence[int], path: Sequence[VertexId]) -> bool:
@@ -70,28 +103,13 @@ def _branch_sides(pos: Sequence[int], spine: tuple) -> List[List[Tuple[int, int]
     return sides
 
 
-def count_same_side_branch_pairs(h: HalinGraph, layout: Layout) -> int:
-    """Number of same-side branch pairs the non-overlap check inspects.
-
-    Zero means the check passes vacuously for this layout.
-    """
-    return _same_side_pairs(_branch_sides(layout.positions(), _spine(h, layout)))
-
-
 def _same_side_pairs(sides) -> int:
     return sum(len(side) * (len(side) - 1) // 2 for side in sides)
 
 
-def check_branch_non_overlap(h: HalinGraph, layout: Layout) -> bool:
-    """Same-side branches of each spinal vertex occupy disjoint blocks.
-
-    For every pair of branches on the same side of their spinal vertex, one
-    must wholly precede the other (either order is fine).
-    """
-    return _sides_disjoint(_branch_sides(layout.positions(), _spine(h, layout)))
-
-
 def _sides_disjoint(sides) -> bool:
+    """Same-side branches of each spinal vertex occupy disjoint blocks: of
+    every two branches on one side, one wholly precedes the other."""
     for side in sides:
         spans = sorted(side)
         for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
@@ -313,7 +331,7 @@ def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
                     ends = (order[0], order[-1])
                     spine = spines.get(ends)
                     if spine is None:
-                        spine = spines[ends] = _spine(h, layout)
+                        spine = spines[ends] = _spine(h.tree, *ends)
                     verdict = unmatched[order] = _structural_verdict(
                         spine, layout.positions())
                 contiguous, monotone, disjoint, vacuous = verdict

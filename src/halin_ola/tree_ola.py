@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import record
-from .errors import BadParam, HalinOlaError, NotRecursivelyBalanced, TooLarge
+from .errors import BadParam, NotRecursivelyBalanced, TooLarge
 from .graph_core import EmbeddedTree, VertexId
 from .layout_ops import Layout
 
@@ -48,30 +48,6 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def central_vertex(tree: EmbeddedTree) -> VertexId:
-    """Tree centroid: deleting it leaves components of size <= floor(n/2).
-
-    Ties are broken toward the smaller vertex id.
-    """
-    n = tree.n
-    size = tree.subtree_sizes()
-    best_v = None
-    best_key = None
-    for v in tree.vertices:
-        comps = [size[c] for c in tree.children[v]]
-        if v != tree.root:
-            comps.append(n - size[v])
-        worst = max(comps, default=0)
-        key = (worst, v)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_v = v
-    if best_key[0] > n // 2:
-        raise HalinOlaError(f"centroid check failed: vertex {best_v} leaves a "
-                            f"component of {best_key[0]} > {n // 2} vertices")
-    return best_v
 
 
 @record(frozen=True)

@@ -436,6 +436,17 @@ class TestCliPipeline:
             ["gen", "--family", "wheel", "--spokes", "2", "-o", str(tmp_path / "x")]
         ) == 1
 
+    @pytest.mark.parametrize("argv,parser", [
+        (["solve", "-h"], "solve"), (["verify", "--help"], "verify"),
+        (["cost", "--h"], "cost"), (["--help"], None)])
+    def test_help_returns_0(self, argv, parser, capsys):
+        # help is printed and main returns, instead of raising SystemExit
+        top = cli.build_parser()
+        if parser is not None:
+            top = top._subparsers._group_actions[0].choices[parser]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (top.format_help(), "")
+
     @pytest.mark.parametrize("family,message", [
         ("wheel", "--spokes"), ("kary", "--k, --c and --h"),
         ("caterpillar", "--spine and --leaves"), ("random", "--n")])

@@ -12,9 +12,10 @@ import halin_ola
 from halin_ola import (
     Layout,
     NotContiguous,
-    NotRbt,
+    NotRecursivelyBalanced,
     NotTreeOptimalInput,
     brute_force_ola,
+    build_embedded_tree,
     certify,
     cycle_cost_is_tight,
     direct_rbt_halin_ola,
@@ -118,7 +119,7 @@ class TestRearrange:
 
     def test_rejects_non_rbt(self):
         h = gen_caterpillar_halin(3, [2, 1, 2])
-        with pytest.raises(NotRbt):
+        with pytest.raises(NotRecursivelyBalanced):
             rearrange_to_halin_ola(h, Layout(tuple(range(h.n))))
 
     def test_rejects_suboptimal_tree_layout(self):
@@ -183,7 +184,7 @@ class TestDirect:
         assert cycle_cost_is_tight(h, direct)
 
     def test_rejects_non_rbt(self):
-        with pytest.raises(NotRbt):
+        with pytest.raises(NotRecursivelyBalanced):
             direct_rbt_halin_ola(gen_caterpillar_halin(3, [2, 1, 2]))
 
 
@@ -201,6 +202,24 @@ class TestScramble:
         assert scramble_tree_ola(h.tree, base, seed=7) == scramble_tree_ola(
             h.tree, base, seed=7
         )
+
+    @pytest.mark.parametrize("tree, order, message", [
+        (gen_kary_rbt_halin(3, 2, 2).tree, (0, 1, 5, 6, 3, 7, 4, 8, 2, 9),
+         "child blocks interleave under 0"),
+        # the walk reaches the block of 2 first only for some shuffles: seed 1 is one
+        (gen_kary_rbt_halin(3, 2, 2).tree, (0, 4, 5, 6, 2, 7, 1, 9, 3, 8),
+         "vertex not below 2"),
+        (gen_kary_rbt_halin(3, 2, 2).tree, (4, 1, 5, 6, 0, 8, 2, 7, 3, 9),
+         "subtree of 0 does not split into equal blocks around it"),
+        (build_embedded_tree(0, {0: [1, 2], 2: [3, 4]}), (1, 2, 0, 3, 4),
+         "child block sizes differ under 0"),
+    ])
+    def test_refuses_layouts_without_equal_blocks(self, tree, order, message):
+        # scramble checks neither balance nor cost, so the walk's own checks
+        # are what reject these layouts, each with its own message
+        with pytest.raises(NotContiguous) as exc:
+            scramble_tree_ola(tree, Layout(order), seed=1)
+        assert type(exc.value) is NotContiguous and str(exc.value) == message
 
     def test_block_walk_parity_digest(self):
         # scrambled layouts, their rearrangements and swap traces, as pinned

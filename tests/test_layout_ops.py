@@ -11,16 +11,12 @@ from halin_ola import (
     build_embedded_tree,
     gen_random_halin,
     gen_wheel,
-    halin_from_tree,
-    is_of_type,
     la_cost,
     la_total,
     reverse_block,
     sigma_swap,
-    spinal_decomposition,
-    spinal_path,
-    tree_path,
 )
+from halin_ola.property_suite import _blocks_in_order, _spine
 
 
 def permutation(n, seed=0):
@@ -65,7 +61,6 @@ class TestLayout:
     def test_reversed(self):
         lay = Layout((2, 0, 1))
         assert lay.reversed().vertex_at == (1, 0, 2)
-        assert lay.first() == 2 and lay.last() == 1
 
 
 class TestCost:
@@ -140,39 +135,30 @@ class TestBlockOps:
 
 class TestTypeAndDelta:
     def test_is_of_type(self):
+        # the property suite's test that blocks wholly precede one another
         lay = Layout((3, 4, 0, 1, 2))
-        assert is_of_type(lay, [[3, 4], [0], [1, 2]])
-        assert not is_of_type(lay, [[0], [3, 4], [1, 2]])
-
-    def test_is_of_type_needs_cover(self):
-        with pytest.raises(ValueError):
-            is_of_type(Layout(tuple(range(4))), [[0], [1]])
+        assert _blocks_in_order(lay.positions(), [[3, 4], [0], [1, 2]])
+        assert not _blocks_in_order(lay.positions(), [[0], [3, 4], [1, 2]])
 
 
 class TestSpinal:
+    # the property suite's private decomposition, keyed by the end vertices
     def test_tree_path(self):
         t = build_embedded_tree(0, {0: [1, 2, 3], 1: [4, 5], 2: [6, 7], 3: [8, 9]})
-        assert tree_path(t, 4, 9) == [4, 1, 0, 3, 9]
-        assert tree_path(t, 4, 5) == [4, 1, 5]
-        assert tree_path(t, 0, 7) == [0, 2, 7]
-        assert tree_path(t, 6, 6) == [6]
+        assert _spine(t, 4, 9)[0] == (4, 1, 0, 3, 9)
+        assert _spine(t, 4, 5)[0] == (4, 1, 5)
+        assert _spine(t, 0, 7)[0] == (0, 2, 7)
+        assert _spine(t, 6, 6)[0] == (6,)
 
     def test_spinal_path_wheel(self):
         h = gen_wheel(4)
         lay = Layout((1, 2, 0, 3, 4))
-        assert spinal_path(h, lay) == [1, 0, 4]
+        assert _spine(h.tree, lay.vertex_at[0], lay.vertex_at[-1])[0] == (1, 0, 4)
 
     def test_spinal_decomposition(self):
         h = gen_wheel(4)
-        lay = Layout((1, 2, 0, 3, 4))
-        dec = spinal_decomposition(h, lay)
-        assert dec.path == (1, 0, 4)
-        assert dec.subtrees == (frozenset({1}), frozenset({0, 2, 3}), frozenset({4}))
-        assert dec.subtree_sizes == (1, 3, 1)
-        hub_branches = {b.vertices for b in dec.branches[1]}
-        assert hub_branches == {frozenset({2}), frozenset({3})}
-
-    def test_spinal_path_needs_two_vertices(self):
-        t = build_embedded_tree(0, {})
-        with pytest.raises(ValueError):
-            spinal_path(t, Layout((0,)))
+        path, subtrees, branches = _spine(h.tree, 1, 4)
+        assert path == (1, 0, 4)
+        assert [set(s) for s in subtrees] == [{1}, {0, 2, 3}, {4}]
+        assert sorted(map(sorted, branches[1])) == [[2], [3]]
+        assert branches[0] == branches[2] == ()

@@ -8,20 +8,21 @@ from halin_ola import (
     ExtremesVerdict,
     Layout,
     brute_force_ola,
-    check_branch_non_overlap,
     check_extremes_are_leaves,
-    check_spine_monotone,
-    check_subtree_contiguity,
     gen_caterpillar_halin,
     gen_random_halin,
     gen_wheel,
     generate,
     run_suite,
-    spinal_decomposition,
 )
 from halin_ola import property_suite
 from halin_ola.generators import GenSpec, caterpillar_spec
-from halin_ola.property_suite import count_same_side_branch_pairs
+from halin_ola.property_suite import (
+    _branch_sides,
+    _same_side_pairs,
+    _spine,
+    _structural_verdict,
+)
 
 
 def k4_optima():
@@ -29,40 +30,48 @@ def k4_optima():
     return h, brute_force_ola(h).optimal_layouts
 
 
+def spine_of(h, lay):
+    return _spine(h.tree, lay.vertex_at[0], lay.vertex_at[-1])
+
+
+def verdict(h, lay):
+    """(contiguous, monotone, branches disjoint, branch pass vacuous)."""
+    return _structural_verdict(spine_of(h, lay), lay.positions())
+
+
 class TestChecksOnOptima:
     def test_k4_contiguity_and_monotone(self):
         h, optima = k4_optima()
         for lay in optima:
-            assert check_subtree_contiguity(h, lay)
-            assert check_spine_monotone(h, lay)
+            contiguous, monotone, _, _ = verdict(h, lay)
+            assert contiguous and monotone
 
     def test_w5_all_checks(self):
         h = gen_wheel(4)
         for lay in brute_force_ola(h).optimal_layouts:
-            assert check_subtree_contiguity(h, lay)
-            assert check_spine_monotone(h, lay)
-            assert check_branch_non_overlap(h, lay)
+            assert all(verdict(h, lay)[:3])
             assert check_extremes_are_leaves(h, lay) is not ExtremesVerdict.VIOLATION
 
     def test_monotone_holds_for_reversed_optimum(self):
         # the spine is re-extracted from the reversed layout's own extremes
         h = gen_wheel(4)
         lay = brute_force_ola(h).optimal_layouts[0]
-        assert check_spine_monotone(h, lay.reversed())
+        assert verdict(h, lay.reversed())[1]
 
 
 class TestBranchNonOverlap:
     def test_singleton_branches_vacuous(self):
         h = gen_wheel(4)
         lay = Layout((1, 2, 0, 3, 4))
-        assert check_branch_non_overlap(h, lay)
         # the hub has one branch per side here: nothing to compare
-        assert count_same_side_branch_pairs(h, lay) == 0
+        assert verdict(h, lay)[2:] == (True, True)
+        assert _same_side_pairs(_branch_sides(lay.positions(), spine_of(h, lay))) == 0
 
     def test_same_side_pair_counted(self):
         h = gen_wheel(5)
         lay = Layout((1, 2, 3, 0, 4, 5))  # two same-side branches at the hub
-        assert count_same_side_branch_pairs(h, lay) >= 1
+        assert _same_side_pairs(_branch_sides(lay.positions(), spine_of(h, lay))) >= 1
+        assert verdict(h, lay)[2:] == (True, False)
 
 
 class TestExtremes:
@@ -128,13 +137,13 @@ def test_run_suite_decomposes_each_endpoint_pair_once(monkeypatch):
     # a layout whose reversal was already checked is not decomposed, so the
     # calls are one per endpoint pair among the first layout of each mirror pair
     calls = []
-    real = property_suite.spinal_decomposition
+    real = property_suite._spine
 
-    def counted(h, layout):
-        calls.append((h.n, layout.first(), layout.last()))
-        return real(h, layout)
+    def counted(tree, first, last):
+        calls.append((tree.n, first, last))
+        return real(tree, first, last)
 
-    monkeypatch.setattr(property_suite, "spinal_decomposition", counted)
+    monkeypatch.setattr(property_suite, "_spine", counted)
     corpus = [(GenSpec("wheel", (("spokes", s),)), gen_wheel(s)) for s in (4, 5)]
     report = run_suite(corpus)
     assert report.all_passed
@@ -142,26 +151,79 @@ def test_run_suite_decomposes_each_endpoint_pair_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 16
 
 
-def _structural(h, layout):
-    return (check_subtree_contiguity(h, layout), check_spine_monotone(h, layout),
-            check_branch_non_overlap(h, layout), count_same_side_branch_pairs(h, layout))
+def _reference_spine(tree, first, last):
+    """The decomposition from its definition, as sets: the path by search
+    over the undirected tree, subtrees and branches as components."""
+    adjacent = {v: set(tree.children[v]) for v in tree.vertices}
+    for v, p in enumerate(tree.parent):
+        if p is not None:
+            adjacent[v].add(p)
+    came = {first: None}
+    frontier = [first]
+    while frontier:
+        x = frontier.pop()
+        for y in adjacent[x] - came.keys():
+            came[y] = x
+            frontier.append(y)
+    path = [last]
+    while path[-1] != first:
+        path.append(came[path[-1]])
+    path.reverse()
+    for a, b in zip(path, path[1:]):
+        adjacent[a].discard(b)
+        adjacent[b].discard(a)
+
+    def component(start, banned):
+        seen, frontier = {start}, [start]
+        while frontier:
+            for y in adjacent[frontier.pop()] - seen - {banned}:
+                seen.add(y)
+                frontier.append(y)
+        return frozenset(seen)
+
+    return (tuple(path), tuple(component(w, None) for w in path),
+            tuple({component(a, w) for a in adjacent[w]} for w in path))
+
+
+def _as_sets(spine):
+    path, subtrees, branches = spine
+    return (path, tuple(map(frozenset, subtrees)),
+            tuple({frozenset(b) for b in bs} for bs in branches))
 
 
 def _assert_mirror_and_endpoint_facts(h, optima):
-    """What run_suite's reuse rests on, through the public checks.
+    """What run_suite's reuse rests on.
 
-    A layout and its reversal get the same structural verdicts, and
-    layouts with the same endpoints the same spinal decomposition.
+    The decomposition of each endpoint pair matches its definition, and the
+    pair read backwards gives the same blocks in reverse order.  A layout and
+    its reversal, each with its own spine, get the same structural verdict.
     """
-    verdicts = {lay.vertex_at: _structural(h, lay) for lay in optima}
-    decompositions = {}
+    spines = {}
+
+    def verdict_of(order):
+        ends = (order[0], order[-1])
+        if ends not in spines:
+            spines[ends] = _spine(h.tree, *ends)
+            path, subtrees, branches = _as_sets(spines[ends])
+            assert (path, subtrees, branches) == _reference_spine(h.tree, *ends), ends
+            assert _as_sets(_spine(h.tree, *ends[::-1])) == (
+                path[::-1], subtrees[::-1], branches[::-1]), ends
+        return _structural_verdict(spines[ends], Layout(order).positions())
+
     for lay in optima:
-        mirror = lay.vertex_at[::-1]
-        if mirror not in verdicts:
-            verdicts[mirror] = _structural(h, Layout(mirror))
-        assert verdicts[lay.vertex_at] == verdicts[mirror], lay
-        dec = spinal_decomposition(h, lay)
-        assert decompositions.setdefault((lay.first(), lay.last()), dec) == dec, lay
+        assert verdict_of(lay.vertex_at) == verdict_of(lay.vertex_at[::-1]), lay
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 10), st.integers(0, 10**6))
+def test_spine_matches_its_definition_on_every_endpoint_pair(n, seed):
+    # optima end at leaves whose paths mostly meet at the root, so every
+    # pair is tried here, including paths that turn below the root
+    tree = gen_random_halin(n, seed=seed).tree
+    for first in tree.vertices:
+        for last in tree.vertices:
+            assert _as_sets(_spine(tree, first, last)) == _reference_spine(
+                tree, first, last), (first, last)
 
 
 def test_mirror_and_endpoint_facts_on_standard_corpus(corpus):

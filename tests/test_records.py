@@ -16,7 +16,6 @@ import pytest
 
 from halin_ola import (
     ArrangementReport,
-    Branch,
     EmbeddedTree,
     GenSpec,
     HalinGraph,
@@ -26,7 +25,6 @@ from halin_ola import (
     OracleResult,
     RbtCertificate,
     SimpleGraph,
-    SpinalDecomposition,
     SuiteReport,
     SwapStep,
     SwapTrace,
@@ -99,17 +97,6 @@ RECORDS = [
      dict(total_cost=14, tree_cost=6, cycle_cost=8),
      dict(total_cost=14, tree_cost=6, cycle_cost=9),
      "ArrangementReport(total_cost=14, tree_cost=6, cycle_cost=8)",
-     True),
-    (Branch,
-     dict(anchor=1, vertices=frozenset({1})),
-     dict(anchor=2, vertices=frozenset({1})),
-     "Branch(anchor=1, vertices=frozenset({1}))",
-     True),
-    (SpinalDecomposition,
-     dict(path=(0, 1), subtrees=(frozenset({0}), frozenset({1})), branches=((), ())),
-     dict(path=(1, 0), subtrees=(frozenset({0}), frozenset({1})), branches=((), ())),
-     "SpinalDecomposition(path=(0, 1), subtrees=(frozenset({0}), frozenset({1})), "
-     "branches=((), ()))",
      True),
     (InstanceReport,
      dict(name="w4", n=5, optimal_cost=14, lower_bound=14, bound_tight=True,

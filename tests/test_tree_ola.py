@@ -1,16 +1,10 @@
 import hashlib
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import halin_ola
 from halin_ola import (
     BadParam,
     Layout,
@@ -21,7 +15,6 @@ from halin_ola import (
     VisitCounter,
     brute_force_ola,
     build_embedded_tree,
-    central_vertex,
     complete_graph,
     cycle_graph,
     gen_caterpillar_halin,
@@ -45,52 +38,6 @@ def star(k):
 
 def tri_star():
     return build_embedded_tree(0, {0: [1, 2, 3], 1: [4, 5], 2: [6, 7], 3: [8, 9]})
-
-
-class TestCentralVertex:
-    def test_path_middle(self):
-        assert central_vertex(path(5)) == 2
-
-    def test_star_center(self):
-        assert central_vertex(star(5)) == 0
-
-    def test_tie_break_smallest_id(self):
-        # P4 has two centroids (vertices 1 and 2)
-        assert central_vertex(path(4)) == 1
-
-    def test_single_vertex(self):
-        assert central_vertex(build_embedded_tree(0, {})) == 0
-
-    def test_check_raises_under_optimize(self):
-        # the centroid bound must not be an assert: under -O a broken
-        # selection would otherwise return a vertex that is no centroid
-        script = textwrap.dedent("""
-            import sys
-            from halin_ola import HalinOlaError, central_vertex, gen_wheel, tree_ola
-            if __debug__:
-                sys.exit("not running under -O")
-            tree_ola.max = lambda comps, default: 99  # every component "too big"
-            try:
-                central_vertex(gen_wheel(5).tree)
-            except HalinOlaError:
-                sys.exit(0)
-            sys.exit("wrong centroid returned without an error")
-        """)
-        src = str(Path(halin_ola.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_components_bounded(self):
-        for tree in (path(9), star(6), tri_star()):
-            v = central_vertex(tree)
-            sizes = tree.subtree_sizes()
-            comps = [sizes[c] for c in tree.children[v]]
-            if v != tree.root:
-                comps.append(tree.n - sizes[v])
-            assert max(comps) <= tree.n // 2
 
 
 class TestRbtDetection:
