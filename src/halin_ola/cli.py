@@ -137,11 +137,8 @@ def _cmd_solve(args) -> int:
         layout = rbt_ola(h.tree)
     elif args.method == "direct":
         layout = direct_rbt_halin_ola(h)
-    else:  # rearrange
-        if args.tree_layout is not None:
-            tree_layout = _load_layout(args.tree_layout, h)
-        else:
-            tree_layout = rbt_ola(h.tree)
+    else:  # rearrange, from rbt_ola's layout when no -t is given
+        tree_layout = None if args.tree_layout is None else _load_layout(args.tree_layout, h)
         layout, trace = rearrange_to_halin_ola(h, tree_layout)
         print(
             f"rearranged in {trace.total_swaps} swaps "
@@ -172,6 +169,8 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.tree_opt is not None and args.tree_opt < 0:
+        raise _Usage(f"--tree-opt must be >= 0, got {args.tree_opt}")
     h = _load_instance(args.input)
     if args.tree_opt is not None:
         tree_opt = args.tree_opt

@@ -1,4 +1,7 @@
-"""Seeded, deterministic instance factories for Halin graph families."""
+"""Seeded, deterministic instance factories for Halin graph families.
+
+The four ``gen_*`` factories run with the cyclic collector paused.
+"""
 
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ class GenSpec:
         return {"family": self.family, "params": dict(self.params), "seed": self.seed}
 
 
+@_collector_paused()
 def gen_wheel(spokes: int) -> HalinGraph:
     """Wheel: a star hub plus the cycle through its ``spokes`` leaves."""
     if spokes < 3:
@@ -43,6 +47,7 @@ def gen_wheel(spokes: int) -> HalinGraph:
     return halin_from_tree(build_embedded_tree(0, {0: list(range(1, spokes + 1))}))
 
 
+@_collector_paused()
 def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
     """Recursively balanced substrate: root degree k, inner degree c.
 
@@ -80,6 +85,7 @@ def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
     return halin_from_tree(build_embedded_tree(0, children))
 
 
+@_collector_paused()
 def gen_caterpillar_halin(spine_len: int, leaves_per_spine: Sequence[int]) -> HalinGraph:
     """Halin graph over a caterpillar: a spine path with pendant leaves.
 
@@ -128,6 +134,7 @@ def gen_caterpillar_halin(spine_len: int, leaves_per_spine: Sequence[int]) -> Ha
     return halin_from_tree(build_embedded_tree(0, children))
 
 
+@_collector_paused()
 def gen_random_halin(n_target: int, seed: int) -> HalinGraph:
     """Seeded random Halin graph with at least ``n_target`` vertices.
 
@@ -162,27 +169,25 @@ def generate(spec: GenSpec) -> HalinGraph:
     A caterpillar spec lists its leaf counts as ``l0, l1, ...`` after
     ``spine``.  Raises BadParam for an unknown family, a missing parameter,
     or parameters the family generator rejects, and TooLarge for an
-    instance above ``MAX_GEN_N`` vertices.  The cyclic garbage collector
-    is off while the instance is built and left as the caller had it.
+    instance above ``MAX_GEN_N`` vertices.
     """
-    with _collector_paused():
-        params = dict(spec.params)
+    params = dict(spec.params)
 
-        def param(name: str) -> int:
-            if name not in params:
-                raise BadParam(f"{spec.family} spec lacks parameter {name!r}")
-            return params[name]
+    def param(name: str) -> int:
+        if name not in params:
+            raise BadParam(f"{spec.family} spec lacks parameter {name!r}")
+        return params[name]
 
-        if spec.family == "wheel":
-            return gen_wheel(param("spokes"))
-        if spec.family == "kary":
-            return gen_kary_rbt_halin(param("k"), param("c"), param("h"))
-        if spec.family == "caterpillar":
-            leaves = [param(f"l{i}") for i in range(len(params) - 1)]
-            return gen_caterpillar_halin(param("spine"), leaves)
-        if spec.family == "random":
-            return gen_random_halin(param("n"), spec.seed)
-        raise BadParam(f"unknown family {spec.family!r}")
+    if spec.family == "wheel":
+        return gen_wheel(param("spokes"))
+    if spec.family == "kary":
+        return gen_kary_rbt_halin(param("k"), param("c"), param("h"))
+    if spec.family == "caterpillar":
+        leaves = [param(f"l{i}") for i in range(len(params) - 1)]
+        return gen_caterpillar_halin(param("spine"), leaves)
+    if spec.family == "random":
+        return gen_random_halin(param("n"), spec.seed)
+    raise BadParam(f"unknown family {spec.family!r}")
 
 
 def caterpillar_spec(spine: int, counts: Sequence[int]) -> GenSpec:

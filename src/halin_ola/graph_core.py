@@ -83,11 +83,12 @@ class EmbeddedTree:
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Keep the cyclic collector off while a tree is built.
+    """Keep the cyclic collector off while a builder runs.
 
-    The decoded document and the tree are acyclic, so a collection pass over
-    them frees nothing.  The caller's collector state is restored on exit,
-    also on error; a collector that was off stays off.
+    What the builders make (a decoded document, a tree, a layout, a swap
+    list) is acyclic, so a collection pass over it frees nothing.  The
+    caller's collector state is restored on exit, also on error; a collector
+    that was off stays off.  ``@_collector_paused()`` pauses a whole function.
     """
     was_on = gc.isenabled()
     gc.disable()

@@ -14,11 +14,11 @@ cross-check of the rearranger.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ._record import record
 from .errors import HalinOlaError, NotContiguous, NotRecursivelyBalanced, NotTreeOptimalInput
-from .graph_core import EmbeddedTree, HalinGraph, VertexId
+from .graph_core import EmbeddedTree, HalinGraph, VertexId, _collector_paused
 from .layout_ops import Layout, la_cost, la_total, reverse_block, sigma_swap
 from .tree_ola import _balanced_layout, is_recursively_balanced, rbt_ola
 
@@ -162,6 +162,7 @@ class _BlockEngine:
     def layout(self) -> Layout:
         return Layout(tuple(self.order))
 
+    @_collector_paused()
     def walk(self, plan, size: List[int]) -> list:
         """Exchange child slots top-down, node by node, as ``plan`` says.
 
@@ -170,25 +171,30 @@ class _BlockEngine:
         is updated after each exchange.  A cross-side exchange also reverses
         both blocks.  The walk then descends into the occupants in slot
         order.  Returns (v, child leaving slot j, child entering it,
-        reversed) per exchange, in order.
+        reversed) per exchange, in order.  The cyclic collector is off
+        during the walk.
 
         Raises NotContiguous when a node's block is not partitioned into
         equal child slots around it, i.e. the layout is not a
         block-structured tree optimum.
         """
         children, parent, order = self.tree.children, self.tree.parent, self.order
+        index = order.index
         exchanges = []
+        record_exchange = exchanges.append
+        moved = self.moved
         stack = [(self.tree.root, 0)]
+        pop = stack.pop
         while stack:
-            v, lo = stack.pop()
+            v, lo = pop()
             k = len(children[v])
             if not k:
-                continue
+                continue  # a one-vertex tree; no leaf is pushed
             # v's block is order[lo:hi]: k slots of s vertices, a of them left of v
             hi = lo + size[v]
             s = (size[v] - 1) // k
             try:
-                p = order.index(v, lo, hi)
+                p = index(v, lo, hi)
             except ValueError:
                 p = hi  # v lies outside its own block
             a, off = divmod(p - lo, s)
@@ -196,6 +202,22 @@ class _BlockEngine:
                 raise NotContiguous(
                     f"subtree of {v} does not split into equal blocks around it"
                 )
+            if s == 1:
+                # every child of v is a leaf: a slot is one vertex, and if
+                # each occupant is a child of v an exchange is a plain swap
+                occupants = order[lo:p] + order[p + 1:hi]
+                for c in occupants:
+                    if parent[c] != v:
+                        break  # the slot checks below say what is wrong
+                else:
+                    for j, jt in plan(v, occupants):
+                        x, y = lo + j + (j >= a), lo + jt + (jt >= a)
+                        order[x], order[y] = order[y], order[x]
+                        moved += 2
+                        record_exchange((v, occupants[j], occupants[jt],
+                                         (j < a) != (jt < a)))
+                        occupants[j], occupants[jt] = occupants[jt], occupants[j]
+                    continue
             starts = [*range(lo, p, s), *range(p + 1, hi, s)]
             occupants = []
             for st in starts:
@@ -214,14 +236,16 @@ class _BlockEngine:
                 d = -1 if cross else 1
                 x, y = starts[j], starts[jt]
                 order[x:x + s], order[y:y + s] = order[y:y + s][::d], order[x:x + s][::d]
-                self.moved += 2 * s
-                exchanges.append((v, occupants[j], occupants[jt], cross))
+                moved += 2 * s
+                record_exchange((v, occupants[j], occupants[jt], cross))
                 occupants[j], occupants[jt] = occupants[jt], occupants[j]
             stack += zip(reversed(occupants), reversed(starts))
+        self.moved = moved
         return exchanges
 
 
-def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, SwapTrace]:
+def rearrange_to_halin_ola(h: HalinGraph,
+                           tree_layout: Optional[Layout] = None) -> Tuple[Layout, SwapTrace]:
     """Turn an optimal tree layout into an optimal Halin layout by swaps.
 
     Works when the underlying tree is recursively balanced.  Top-down, every
@@ -234,16 +258,23 @@ def rearrange_to_halin_ola(h: HalinGraph, tree_layout: Layout) -> Tuple[Layout, 
     leftmost slot; its rightmost partner ends up being its embedding
     successor on the cycle.
 
+    The optimum is priced on ``rbt_ola``'s layout; with ``tree_layout=None``
+    the walk starts from that same layout, so it is built only once.
+
     Raises NotRecursivelyBalanced, NotTreeOptimalInput (input cost differs
     from the recursively-balanced optimum), or NotContiguous (input layout
     is not block-structured).  The result is checked against the bound before it
     is returned (also under ``python -O``); a miss raises HalinOlaError.
     """
     tree = h.tree
-    opt_cost = la_total(tree, rbt_ola(tree))
-    in_cost = la_total(tree, tree_layout)
-    if in_cost != opt_cost:
-        raise NotTreeOptimalInput(f"input tree cost {in_cost} != optimum {opt_cost}")
+    opt_layout = rbt_ola(tree)
+    opt_cost = la_total(tree, opt_layout)
+    if tree_layout is None:
+        tree_layout = opt_layout
+    else:
+        in_cost = la_total(tree, tree_layout)
+        if in_cost != opt_cost:
+            raise NotTreeOptimalInput(f"input tree cost {in_cost} != optimum {opt_cost}")
 
     size = tree.subtree_sizes()
     heights = tree.subtree_heights()

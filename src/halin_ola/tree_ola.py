@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import record
 from .errors import BadParam, NotRecursivelyBalanced, TooLarge
-from .graph_core import EmbeddedTree, VertexId
+from .graph_core import EmbeddedTree, VertexId, _collector_paused
 from .layout_ops import Layout
 
 LAYOUT_CAP = 10_000
@@ -105,39 +105,48 @@ def rbt_ola(tree: EmbeddedTree, stats: Optional[VisitCounter] = None) -> Layout:
     return _balanced_layout(tree, mirror=False, stats=stats)
 
 
+@_collector_paused()
 def _balanced_layout(tree: EmbeddedTree, mirror: bool,
                      stats: Optional[VisitCounter] = None) -> Layout:
     """The balanced-split emitter behind ``rbt_ola``; the tree must be balanced.
 
     ``mirror=True`` reverses every child list first, i.e. lays out the
-    mirrored embedding.
+    mirrored embedding.  The cyclic collector is off while it runs.
     """
+    if stats is not None:
+        stats.touches += tree.n  # one visit per vertex
+    children = tree.children
     order: List[VertexId] = []
+    emit = order.append
     # (vertex, parent-side) work items; EMIT marks a vertex's own slot.
     EMIT = -1
     PARENT_RIGHT, PARENT_LEFT = 0, 1  # also used for the free root (RIGHT split)
     stack: List[Tuple[VertexId, int]] = [(tree.root, PARENT_RIGHT)]
+    pop, push = stack.pop, stack.append
     while stack:
-        v, side = stack.pop()
+        v, side = pop()
         if side == EMIT:
-            order.append(v)
+            emit(v)
             continue
-        if stats is not None:
-            stats.touches += 1
-        cs = tree.children[v]
+        cs = children[v]
         if not cs:
-            order.append(v)
+            emit(v)  # a one-vertex tree; no leaf is pushed
             continue
         if mirror:
             cs = cs[::-1]
         c = len(cs)
         a = (c + 1) // 2 if side == PARENT_RIGHT else c // 2
+        if not children[cs[0]]:  # balanced: every child is a leaf
+            order += cs[:a]
+            emit(v)
+            order += cs[a:]
+            continue
         # pushed in reverse so the leftmost block is emitted first
         for child in reversed(cs[a:]):
-            stack.append((child, PARENT_LEFT))
-        stack.append((v, EMIT))
+            push((child, PARENT_LEFT))
+        push((v, EMIT))
         for child in reversed(cs[:a]):
-            stack.append((child, PARENT_RIGHT))
+            push((child, PARENT_RIGHT))
     return Layout(tuple(order))
 
 

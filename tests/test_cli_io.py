@@ -555,6 +555,46 @@ class TestCliPipeline:
         ) == 0
         assert main(["verify", "-i", str(inst), "-l", str(out), "--oracle"]) == 0
 
+    def test_rearrange_without_tree_layout_builds_it_once(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # without -t the walk starts from the layout rbt_ola built to price
+        # the optimum: the same bytes as -t on solve --method rbt's layout
+        from halin_ola import halin_arrange
+
+        inst, tl = tmp_path / "k.json", tmp_path / "rbt.layout.json"
+        given, built = tmp_path / "given.layout.json", tmp_path / "built.layout.json"
+        main(["gen", "--family", "kary", "--k", "3", "--c", "2", "--h", "4",
+              "-o", str(inst)])
+        main(["solve", "--method", "rbt", "-i", str(inst), "-o", str(tl)])
+        capsys.readouterr()
+        assert main(["solve", "--method", "rearrange", "-i", str(inst), "-t", str(tl),
+                     "-o", str(given)]) == 0
+        want = capsys.readouterr().out
+        calls = []
+
+        def counted(tree, stats=None):
+            calls.append(tree.n)
+            return real(tree, stats)
+
+        real = halin_arrange.rbt_ola
+        monkeypatch.setattr(halin_arrange, "rbt_ola", counted)
+        monkeypatch.setattr(cli, "rbt_ola", counted)
+        assert main(["solve", "--method", "rearrange", "-i", str(inst),
+                     "-o", str(built)]) == 0
+        assert capsys.readouterr().out == want
+        assert built.read_bytes() == given.read_bytes()
+        assert calls == [46]
+
+    def test_bound_rejects_negative_tree_opt(self, tmp_path, capsys):
+        inst = tmp_path / "w5.json"
+        main(["gen", "--family", "wheel", "--spokes", "4", "-o", str(inst)])
+        capsys.readouterr()
+        assert main(["bound", "-i", str(inst), "--tree-opt", "-100"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: --tree-opt must be >= 0, got -100\n")
+        assert main(["bound", "-i", str(inst), "--tree-opt", "0"]) == 0
+        assert capsys.readouterr().out == "8\n"
+
     def test_rearrange_rejects_layout_without_equal_blocks(self, tmp_path, capsys):
         # an optimal tree layout of kary(3,2,2) (cost 15) whose root block
         # does not split into equal child slots

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,6 +12,7 @@ import pytest
 import halin_ola
 
 from halin_ola import (
+    HalinOlaError,
     Layout,
     NotContiguous,
     NotRecursivelyBalanced,
@@ -237,6 +240,57 @@ class TestScramble:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "af392ad649f7dad2eee538d20334b22ae71a303b8b02d7165c38d5bd20c79b43"
         )
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and message of a typed refusal."""
+    try:
+        return call()
+    except HalinOlaError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rearranged(h, lay):
+    out, trace = rearrange_to_halin_ola(h, lay)
+    return out.vertex_at, trace.to_jsonable()
+
+
+def test_refusal_parity_digest():
+    # random permutations and one- or two-transposition perturbations of
+    # scrambled optima: each input's scramble and rearrange outcomes (output
+    # layout and trace, or refusal message), as pinned before the walk's
+    # one-vertex-slot fast path
+    rng = random.Random(2024)
+    rows = []
+    for h in [gen_kary_rbt_halin(*p) for p in ((3, 2, 3), (3, 3, 2), (4, 2, 2), (3, 2, 2))]:
+        n, base = h.n, rbt_ola(h.tree)
+        inputs = []
+        for _ in range(150):
+            order = list(range(n))
+            rng.shuffle(order)
+            inputs.append(order)
+        leaves = [v for v in range(n) if h.tree.is_leaf(v)]
+        for seed in range(150):
+            order = list(scramble_tree_ola(h.tree, base, seed).vertex_at)
+            for _ in range(1 + seed % 2):  # half the time, of two leaves
+                i, j = rng.sample(range(n), 2) if seed % 4 < 2 else (
+                    order.index(v) for v in rng.sample(leaves, 2))
+                order[i], order[j] = order[j], order[i]
+            inputs.append(order)
+        for order in inputs:
+            lay = Layout(tuple(order))
+            scrambled = _outcome(lambda: scramble_tree_ola(h.tree, lay, 3).vertex_at)
+            rearranged = _outcome(lambda: _rearranged(h, lay))
+            rows.append((lay.vertex_at, scrambled, rearranged))
+    # the three refusals a balanced tree can reach ("child block sizes
+    # differ" needs unequal siblings), and inputs both walks accept
+    kinds = {re.sub(r"\d+", "V", r[1][1]) for r in rows if isinstance(r[1][1], str)}
+    assert kinds == {"subtree of V does not split into equal blocks around it",
+                     "child blocks interleave under V", "vertex not below V"}
+    assert sum(isinstance(r[2][0], tuple) for r in rows) > 40
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "35e3a8a097435a617fb580e89d635354cfe92eb801a05a6a662ca8561df29c7c"
+    )
 
 
 class TestCertify:
