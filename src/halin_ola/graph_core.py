@@ -63,13 +63,20 @@ class EmbeddedTree:
         return [(v, c) if v < c else (c, v)
                 for v, cs in enumerate(self.children) for c in cs]
 
-    def subtree_sizes(self) -> List[int]:
-        """Size of the subtree rooted at each vertex (iterative postorder)."""
-        size = [1] * self.n
-        for v in reversed(self._preorder):
-            for c in self.children[v]:
-                size[v] += size[c]
-        return size
+    def subtree_sizes(self) -> Tuple[int, ...]:
+        """Size of the subtree rooted at each vertex, summed once per tree.
+
+        Cached outside the fields, so it is not in ``==``, ``hash`` or ``repr``.
+        """
+        cached = self.__dict__.get("_size_cache")
+        if cached is None:
+            size = [1] * self.n
+            children = self.children
+            for v in reversed(self._preorder):
+                for c in children[v]:
+                    size[v] += size[c]
+            cached = self.__dict__["_size_cache"] = tuple(size)
+        return cached
 
     def subtree_heights(self) -> List[int]:
         """Height of the subtree rooted at each vertex, a leaf counting as 1."""

@@ -7,8 +7,8 @@ into an optimal Halin layout by swapping equal-size sibling subtree blocks
 (cost-free on the tree) until the leaves read in cyclic order, and
 ``direct_rbt_halin_ola`` builds the same optimum from scratch: it is the
 balanced emitter of ``rbt_ola`` run on the mirrored embedding.  The direct
-construction never touches the swap engine, so it stays an independent
-cross-check of the rearranger.
+construction never runs the block walk, so it stays an independent
+cross-check of the rearranger.  Both check their result against the bound.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ._record import record
 from .errors import HalinOlaError, NotContiguous, NotRecursivelyBalanced, NotTreeOptimalInput
 from .graph_core import EmbeddedTree, HalinGraph, VertexId, _collector_paused
 from .layout_ops import Layout, la_cost, la_total, reverse_block, sigma_swap
-from .tree_ola import _balanced_layout, is_recursively_balanced, rbt_ola
+from .tree_ola import _balanced_layout, rbt_ola
 
 
 def halin_lower_bound(h: HalinGraph, tree_opt_cost: int) -> int:
@@ -98,21 +98,6 @@ class SwapTrace:
     total_swaps: int
     total_moved_vertices: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "totalSwaps": self.total_swaps,
-            "totalMovedVertices": self.total_moved_vertices,
-            "steps": [
-                {
-                    "levelHeight": s.level_height,
-                    "blockA": s.block_a,
-                    "blockB": s.block_b,
-                    "reversedPair": s.reversed_pair,
-                }
-                for s in self.steps
-            ],
-        }
-
 
 def subtree_vertices(tree: EmbeddedTree, v: VertexId) -> List[VertexId]:
     out = []
@@ -128,7 +113,7 @@ def replay_trace(tree: EmbeddedTree, start: Layout, trace: SwapTrace) -> Layout:
     """Re-apply a trace step by step with the block operators.
 
     Slow (rebuilds a layout per step) but definitionally faithful; used to
-    audit that the fast in-place engine and the trace agree.
+    audit that the fast in-place walk and the trace agree.
     """
     layout = start
     for step in trace.steps:
@@ -142,106 +127,102 @@ def replay_trace(tree: EmbeddedTree, start: Layout, trace: SwapTrace) -> Layout:
 
 
 # ---------------------------------------------------------------------------
-# In-place engine
+# In-place block walk
 # ---------------------------------------------------------------------------
 
-class _BlockEngine:
-    """A mutable vertex order and the top-down walk over child slots.
+@_collector_paused()
+def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
+    """Exchange child slots of ``order`` in place, top-down, as ``plan`` says.
 
     A node's child subtrees occupy equal-size contiguous slots around the
-    node's own position.  Exchanging two same-side slots never changes the
-    tree cost; exchanging slots on opposite sides of the node is paired with
-    reversing both blocks, which restores the two parent-edge expansions.
+    node's own position; the slot size is read off ``tree.subtree_sizes()``.
+    Exchanging two same-side slots never changes the tree cost; exchanging
+    slots on opposite sides of the node is paired with reversing both
+    blocks, which restores the two parent-edge expansions.
+
+    At each internal node v, ``plan(v, occupants)`` yields slot pairs
+    (j, jt) to exchange in turn; ``occupants`` (the child in each slot) is
+    updated after each exchange.  The walk then descends into the occupants
+    in slot order.  Returns the exchanges, as (v, child leaving slot j,
+    child entering it, reversed) in order, and the number of vertices moved.
+    The cyclic collector is off during the walk.
+
+    Raises NotContiguous when a node's block is not partitioned into equal
+    child slots around it, i.e. the layout is not a block-structured tree
+    optimum.
     """
+    children, parent, size = tree.children, tree.parent, tree.subtree_sizes()
+    index = order.index
+    exchanges = []
+    record_exchange = exchanges.append
+    moved = 0
+    stack = [(tree.root, 0)]
+    pop = stack.pop
+    while stack:
+        v, lo = pop()
+        k = len(children[v])
+        if not k:
+            continue  # a one-vertex tree; no leaf is pushed
+        # v's block is order[lo:hi]: k slots of s vertices, a of them left of v
+        hi = lo + size[v]
+        s = (size[v] - 1) // k
+        try:
+            p = index(v, lo, hi)
+        except ValueError:
+            p = hi  # v lies outside its own block
+        a, off = divmod(p - lo, s)
+        if off or not 0 <= a <= k or hi - 1 - p != (k - a) * s:
+            raise NotContiguous(
+                f"subtree of {v} does not split into equal blocks around it"
+            )
+        if s == 1:
+            # every child of v is a leaf: a slot is one vertex, and if
+            # each occupant is a child of v an exchange is a plain swap
+            occupants = order[lo:p] + order[p + 1:hi]
+            for c in occupants:
+                if parent[c] != v:
+                    break  # the slot checks below say what is wrong
+            else:
+                for j, jt in plan(v, occupants):
+                    x, y = lo + j + (j >= a), lo + jt + (jt >= a)
+                    order[x], order[y] = order[y], order[x]
+                    moved += 2
+                    record_exchange((v, occupants[j], occupants[jt],
+                                     (j < a) != (jt < a)))
+                    occupants[j], occupants[jt] = occupants[jt], occupants[j]
+                continue
+        starts = [*range(lo, p, s), *range(p + 1, hi, s)]
+        occupants = []
+        for st in starts:
+            c = order[st]  # climb to the child of v above the slot's first vertex
+            while parent[c] != v:
+                c = parent[c]
+                if c is None:
+                    raise NotContiguous(f"vertex not below {v}")
+            if size[c] != s:
+                raise NotContiguous(f"child block sizes differ under {v}")
+            occupants.append(c)
+        if len(set(occupants)) != k:
+            raise NotContiguous(f"child blocks interleave under {v}")
+        for j, jt in plan(v, occupants):
+            cross = (j < a) != (jt < a)
+            d = -1 if cross else 1
+            x, y = starts[j], starts[jt]
+            order[x:x + s], order[y:y + s] = order[y:y + s][::d], order[x:x + s][::d]
+            moved += 2 * s
+            record_exchange((v, occupants[j], occupants[jt], cross))
+            occupants[j], occupants[jt] = occupants[jt], occupants[j]
+        stack += zip(reversed(occupants), reversed(starts))
+    return exchanges, moved
 
-    def __init__(self, tree: EmbeddedTree, layout: Layout):
-        self.tree = tree
-        self.order: List[VertexId] = list(layout.vertex_at)
-        self.moved = 0
 
-    def layout(self) -> Layout:
-        return Layout(tuple(self.order))
-
-    @_collector_paused()
-    def walk(self, plan, size: List[int]) -> list:
-        """Exchange child slots top-down, node by node, as ``plan`` says.
-
-        At each internal node v, ``plan(v, occupants)`` yields slot pairs
-        (j, jt) to exchange in turn; ``occupants`` (the child in each slot)
-        is updated after each exchange.  A cross-side exchange also reverses
-        both blocks.  The walk then descends into the occupants in slot
-        order.  Returns (v, child leaving slot j, child entering it,
-        reversed) per exchange, in order.  The cyclic collector is off
-        during the walk.
-
-        Raises NotContiguous when a node's block is not partitioned into
-        equal child slots around it, i.e. the layout is not a
-        block-structured tree optimum.
-        """
-        children, parent, order = self.tree.children, self.tree.parent, self.order
-        index = order.index
-        exchanges = []
-        record_exchange = exchanges.append
-        moved = self.moved
-        stack = [(self.tree.root, 0)]
-        pop = stack.pop
-        while stack:
-            v, lo = pop()
-            k = len(children[v])
-            if not k:
-                continue  # a one-vertex tree; no leaf is pushed
-            # v's block is order[lo:hi]: k slots of s vertices, a of them left of v
-            hi = lo + size[v]
-            s = (size[v] - 1) // k
-            try:
-                p = index(v, lo, hi)
-            except ValueError:
-                p = hi  # v lies outside its own block
-            a, off = divmod(p - lo, s)
-            if off or not 0 <= a <= k or hi - 1 - p != (k - a) * s:
-                raise NotContiguous(
-                    f"subtree of {v} does not split into equal blocks around it"
-                )
-            if s == 1:
-                # every child of v is a leaf: a slot is one vertex, and if
-                # each occupant is a child of v an exchange is a plain swap
-                occupants = order[lo:p] + order[p + 1:hi]
-                for c in occupants:
-                    if parent[c] != v:
-                        break  # the slot checks below say what is wrong
-                else:
-                    for j, jt in plan(v, occupants):
-                        x, y = lo + j + (j >= a), lo + jt + (jt >= a)
-                        order[x], order[y] = order[y], order[x]
-                        moved += 2
-                        record_exchange((v, occupants[j], occupants[jt],
-                                         (j < a) != (jt < a)))
-                        occupants[j], occupants[jt] = occupants[jt], occupants[j]
-                    continue
-            starts = [*range(lo, p, s), *range(p + 1, hi, s)]
-            occupants = []
-            for st in starts:
-                c = order[st]  # climb to the child of v above the slot's first vertex
-                while parent[c] != v:
-                    c = parent[c]
-                    if c is None:
-                        raise NotContiguous(f"vertex not below {v}")
-                if size[c] != s:
-                    raise NotContiguous(f"child block sizes differ under {v}")
-                occupants.append(c)
-            if len(set(occupants)) != k:
-                raise NotContiguous(f"child blocks interleave under {v}")
-            for j, jt in plan(v, occupants):
-                cross = (j < a) != (jt < a)
-                d = -1 if cross else 1
-                x, y = starts[j], starts[jt]
-                order[x:x + s], order[y:y + s] = order[y:y + s][::d], order[x:x + s][::d]
-                moved += 2 * s
-                record_exchange((v, occupants[j], occupants[jt], cross))
-                occupants[j], occupants[jt] = occupants[jt], occupants[j]
-            stack += zip(reversed(occupants), reversed(starts))
-        self.moved = moved
-        return exchanges
+def _check_bound(h: HalinGraph, layout: Layout, opt_cost: int, what: str):
+    """Raise HalinOlaError unless ``layout`` meets the bound; also under -O."""
+    report = la_cost(h, layout)
+    tight = (opt_cost, 2 * (h.n - 1))
+    if (report.tree_cost, report.cycle_cost) != tight:
+        raise HalinOlaError(f"{what} layout misses the bound: (tree, cycle) = "
+                            f"{(report.tree_cost, report.cycle_cost)}, needs {tight}")
 
 
 def rearrange_to_halin_ola(h: HalinGraph,
@@ -259,7 +240,8 @@ def rearrange_to_halin_ola(h: HalinGraph,
     successor on the cycle.
 
     The optimum is priced on ``rbt_ola``'s layout; with ``tree_layout=None``
-    the walk starts from that same layout, so it is built only once.
+    the walk starts from that same layout, so it is built only once.  The
+    walk reads the subtree sizes that ``rbt_ola``'s certificate summed.
 
     Raises NotRecursivelyBalanced, NotTreeOptimalInput (input cost differs
     from the recursively-balanced optimum), or NotContiguous (input layout
@@ -276,9 +258,7 @@ def rearrange_to_halin_ola(h: HalinGraph,
         if in_cost != opt_cost:
             raise NotTreeOptimalInput(f"input tree cost {in_cost} != optimum {opt_cost}")
 
-    size = tree.subtree_sizes()
     heights = tree.subtree_heights()
-    engine = _BlockEngine(tree, tree_layout)
 
     def sort_toward_reversed(v: VertexId, occupants: List[VertexId]):
         # selection sort into reversed embedding order (at the root, the
@@ -293,16 +273,12 @@ def rearrange_to_halin_ola(h: HalinGraph,
                 yield j, jt
                 slot_of[occupants[jt]] = jt
 
-    steps = [SwapStep(heights[v], out_, in_, cross)
-             for v, out_, in_, cross in engine.walk(sort_toward_reversed, size)]
-
-    out = engine.layout()
-    report = la_cost(h, out)
-    tight = (opt_cost, 2 * (h.n - 1))
-    if (report.tree_cost, report.cycle_cost) != tight:
-        raise HalinOlaError(f"rearranged layout misses the bound: (tree, cycle) = "
-                            f"{(report.tree_cost, report.cycle_cost)}, needs {tight}")
-    return out, SwapTrace(tuple(steps), len(steps), engine.moved)
+    order = list(tree_layout.vertex_at)
+    exchanges, moved = _walk(tree, order, sort_toward_reversed)
+    steps = [SwapStep(heights[v], out_, in_, cross) for v, out_, in_, cross in exchanges]
+    out = Layout(tuple(order))
+    _check_bound(h, out, opt_cost, "rearranged")
+    return out, SwapTrace(tuple(steps), len(steps), moved)
 
 
 def direct_rbt_halin_ola(h: HalinGraph) -> Layout:
@@ -313,15 +289,22 @@ def direct_rbt_halin_ola(h: HalinGraph) -> Layout:
     node inserted between a balanced split of its blocks (the node lands on
     the side facing its parent).  The leaf sequence comes out as a
     reflection of the cycle, so the cycle part is tight; the tree part
-    matches the recursively balanced optimum.  It does not use the swap
-    engine, so it serves as an independent cross-check of
+    matches the recursively balanced optimum.  It does not use the block
+    walk, so it serves as an independent cross-check of
     ``rearrange_to_halin_ola``.
 
-    Raises NotRecursivelyBalanced.
+    Raises NotRecursivelyBalanced.  The result is checked against the bound,
+    priced on ``rbt_ola``'s layout, before it is returned (also under
+    ``python -O``); a miss raises HalinOlaError.
     """
-    if not is_recursively_balanced(h.tree).verdict:
-        raise NotRecursivelyBalanced("underlying tree is not recursively balanced")
-    return _balanced_layout(h.tree, mirror=True)
+    tree = h.tree
+    try:
+        opt_cost = la_total(tree, rbt_ola(tree))
+    except NotRecursivelyBalanced:
+        raise NotRecursivelyBalanced("underlying tree is not recursively balanced") from None
+    out = _balanced_layout(tree, mirror=True)
+    _check_bound(h, out, opt_cost, "direct")
+    return out
 
 
 def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
@@ -344,6 +327,6 @@ def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
             if jt != j:
                 yield j, jt
 
-    engine = _BlockEngine(tree, layout)
-    engine.walk(fisher_yates, tree.subtree_sizes())
-    return engine.layout()
+    order = list(layout.vertex_at)
+    _walk(tree, order, fisher_yates)
+    return Layout(tuple(order))

@@ -68,23 +68,26 @@ class VisitCounter:
 
 def is_recursively_balanced(tree: EmbeddedTree,
                             stats: Optional[VisitCounter] = None) -> RbtCertificate:
-    """Check that every internal vertex heads equal-size balanced subtrees."""
+    """Check that every internal vertex heads equal-size balanced subtrees.
+
+    The sizes are the tree's own ``subtree_sizes()`` tuple.
+    """
     n = tree.n
     if stats is not None:
         stats.touches += 2 * n  # the preorder, then one visit per vertex
     children = tree.children
-    size = [1] * n
+    size = tree.subtree_sizes()
     balanced = [True] * n
     for v in reversed(tree._preorder):
         cs = children[v]
         if cs:
             first = size[cs[0]]
             for c in cs:
-                size[v] += size[c]
                 if size[c] != first or not balanced[c]:
                     balanced[v] = False
+                    break
     return RbtCertificate(
-        subtree_size=tuple(size), balanced=tuple(balanced), verdict=balanced[tree.root]
+        subtree_size=size, balanced=tuple(balanced), verdict=balanced[tree.root]
     )
 
 

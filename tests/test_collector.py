@@ -55,7 +55,8 @@ BUILDS = {
     "parse": (lambda: parse_instance(WHEEL_BYTES), None, [False]),
     "parse-error": (lambda: parse_instance(BAD_BYTES), DuplicateChild, [False]),
     "rbt_ola": (lambda: rbt_ola(H.tree), None, [False]),
-    "direct_rbt_halin_ola": (lambda: direct_rbt_halin_ola(H), None, [False]),
+    # the pricing Layout from rbt_ola, then the mirrored one
+    "direct_rbt_halin_ola": (lambda: direct_rbt_halin_ola(H), None, [False, False]),
     "scramble_tree_ola": (lambda: scramble_tree_ola(H.tree, SCRAMBLED, seed=1), None, PLANS),
     "scramble-refused": (lambda: scramble_tree_ola(REFUSED_TREE, REFUSED, seed=1),
                          NotContiguous, [False]),
@@ -90,9 +91,9 @@ def test_builders_restore_collector_state(case, collector_on, monkeypatch):
     monkeypatch.setattr(io_formats, "build_embedded_tree", spy_tree)
     monkeypatch.setattr(generators, "build_embedded_tree", spy_tree)
     monkeypatch.setattr(tree_ola, "Layout", spy(tree_ola.Layout))
-    real_walk = halin_arrange._BlockEngine.walk
-    monkeypatch.setattr(halin_arrange._BlockEngine, "walk",
-                        lambda engine, plan, size: real_walk(engine, spy(plan), size))
+    real_walk = halin_arrange._walk
+    monkeypatch.setattr(halin_arrange, "_walk",
+                        lambda tree, order, plan: real_walk(tree, order, spy(plan)))
     if error is None:
         build()
     else:

@@ -96,6 +96,12 @@ class TestBuildEmbeddedTree:
         assert sizes[1] == sizes[2] == sizes[3] == 3
         assert sizes[4] == 1
 
+    def test_subtree_sizes_cached_outside_the_fields(self):
+        t, u = tri_star(), tri_star()
+        sizes = t.subtree_sizes()
+        assert t.subtree_sizes() is sizes
+        assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+
     def test_height(self):
         assert star(3).subtree_heights()[0] == 2
         assert tri_star().subtree_heights()[0] == 3

@@ -12,6 +12,7 @@ import pytest
 import halin_ola
 
 from halin_ola import (
+    EmbeddedTree,
     HalinOlaError,
     Layout,
     NotContiguous,
@@ -26,6 +27,7 @@ from halin_ola import (
     gen_kary_rbt_halin,
     gen_wheel,
     halin_lower_bound,
+    is_recursively_balanced,
     la_cost,
     la_total,
     rbt_ola,
@@ -33,6 +35,46 @@ from halin_ola import (
     replay_trace,
     scramble_tree_ola,
 )
+
+
+def _raises_under_optimize(body: str):
+    """Run ``body`` under ``python -O``; it must end in a HalinOlaError."""
+    script = textwrap.dedent("""
+        import sys
+        from halin_ola import (HalinOlaError, direct_rbt_halin_ola, gen_kary_rbt_halin,
+                               halin_arrange, rbt_ola, rearrange_to_halin_ola,
+                               scramble_tree_ola)
+        if __debug__:
+            sys.exit("not running under -O")
+        try:
+        %s
+        except HalinOlaError:
+            sys.exit(0)
+        sys.exit("faulty layout returned without an error")
+    """) % textwrap.indent(textwrap.dedent(body), "    ")
+    src = str(Path(halin_ola.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _trace_doc(trace) -> dict:
+    """A swap trace as the plain dict the parity digests were pinned on."""
+    return {
+        "totalSwaps": trace.total_swaps,
+        "totalMovedVertices": trace.total_moved_vertices,
+        "steps": [
+            {
+                "levelHeight": s.level_height,
+                "blockA": s.block_a,
+                "blockB": s.block_b,
+                "reversedPair": s.reversed_pair,
+            }
+            for s in trace.steps
+        ],
+    }
 
 
 class TestLowerBound:
@@ -65,6 +107,21 @@ class TestCycleTightness:
 
 
 class TestRearrange:
+    def test_sizes_summed_once_per_tree(self, monkeypatch):
+        # each run of the summing loop builds a new tuple, so one object
+        # handed to every caller means the loop ran once
+        h = gen_kary_rbt_halin(3, 2, 4)
+        real = EmbeddedTree.subtree_sizes
+        seen = []
+        monkeypatch.setattr(EmbeddedTree, "subtree_sizes",
+                            lambda tree: seen.append(real(tree)) or seen[-1])
+        rbt_ola(h.tree)
+        rearrange_to_halin_ola(h)
+        cert = is_recursively_balanced(h.tree)
+        # two certificates, the walk, then the third certificate
+        assert len(seen) == 4
+        assert all(sizes is cert.subtree_size for sizes in seen)
+
     @pytest.mark.parametrize("spokes", [3, 4, 5, 6])
     def test_wheels_meet_bound(self, spokes):
         h = gen_wheel(spokes)
@@ -131,38 +188,14 @@ class TestRearrange:
             rearrange_to_halin_ola(h, Layout((0, 1, 2, 3, 4)))  # hub first: cost 10
 
     def test_faulty_engine_raises_under_optimize(self):
-        # the final certify must not be an assert: under -O a broken engine
-        # would otherwise hand back a layout that misses the bound
-        script = textwrap.dedent("""
-            import sys
-            from halin_ola import (HalinOlaError, gen_kary_rbt_halin, halin_arrange,
-                                   rbt_ola, rearrange_to_halin_ola, scramble_tree_ola)
-            if __debug__:
-                sys.exit("not running under -O")
+        # the final certify must not be an assert: under -O a walk that swaps
+        # nothing would otherwise hand back a layout that misses the bound
+        _raises_under_optimize("""
             h = gen_kary_rbt_halin(3, 2, 3)
             start = scramble_tree_ola(h.tree, rbt_ola(h.tree), seed=5)
-            halin_arrange._BlockEngine.layout = lambda self: start
-            try:
-                rearrange_to_halin_ola(h, start)
-            except HalinOlaError:
-                sys.exit(0)
-            sys.exit("faulty layout returned without an error")
+            halin_arrange._walk = lambda tree, order, plan: ([], 0)
+            rearrange_to_halin_ola(h, start)
         """)
-        src = str(Path(halin_ola.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_trace_serializable(self):
-        import json
-
-        h = gen_wheel(5)
-        _, trace = rearrange_to_halin_ola(h, rbt_ola(h.tree))
-        doc = json.loads(json.dumps(trace.to_jsonable()))
-        assert doc["totalSwaps"] == trace.total_swaps
-        assert len(doc["steps"]) == trace.total_swaps
 
 
 class TestDirect:
@@ -189,6 +222,15 @@ class TestDirect:
     def test_rejects_non_rbt(self):
         with pytest.raises(NotRecursivelyBalanced):
             direct_rbt_halin_ola(gen_caterpillar_halin(3, [2, 1, 2]))
+
+    def test_faulty_emitter_raises_under_optimize(self):
+        # the direct layout is checked against the bound too, also under -O
+        _raises_under_optimize("""
+            h = gen_kary_rbt_halin(3, 2, 3)
+            start = scramble_tree_ola(h.tree, rbt_ola(h.tree), seed=5)
+            halin_arrange._balanced_layout = lambda tree, mirror: start
+            direct_rbt_halin_ola(h)
+        """)
 
 
 class TestScramble:
@@ -236,7 +278,7 @@ class TestScramble:
             starts = [scramble_tree_ola(h.tree, base, seed) for seed in (0, 1, 7, 123)]
             for start in [base] + starts:
                 out, trace = rearrange_to_halin_ola(h, start)
-                rows.append((start.vertex_at, out.vertex_at, trace.to_jsonable()))
+                rows.append((start.vertex_at, out.vertex_at, _trace_doc(trace)))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "af392ad649f7dad2eee538d20334b22ae71a303b8b02d7165c38d5bd20c79b43"
         )
@@ -252,7 +294,7 @@ def _outcome(call):
 
 def _rearranged(h, lay):
     out, trace = rearrange_to_halin_ola(h, lay)
-    return out.vertex_at, trace.to_jsonable()
+    return out.vertex_at, _trace_doc(trace)
 
 
 def test_refusal_parity_digest():
