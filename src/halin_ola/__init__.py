@@ -1,12 +1,12 @@
 """Optimal linear arrangements of Halin graphs.
 
 A Halin graph is a plane tree (minimum internal degree 3 once the cycle is
-added) whose leaves are joined by a cycle in embedding order.  This package
-computes optimal linear arrangements for the recursively-balanced subclass
-in near-linear time, provides an exact oracle and structural property
-checks for small instances, and ships a CLI over stable JSON file formats.
-The property checks run through ``run_suite`` and
-``check_extremes_are_leaves``; the spinal decomposition is private to them.
+added) whose leaves are joined by a cycle in embedding order; a
+``HalinGraph`` holds only the tree and reads that cycle, ``cycle_order``,
+off it.  This package computes optimal linear arrangements for the
+recursively-balanced subclass in near-linear time, provides an exact oracle
+and structural property checks (``run_suite``, ``check_extremes_are_leaves``)
+for small instances, and ships a CLI over stable JSON file formats.
 """
 
 from .errors import (
@@ -30,7 +30,6 @@ from .graph_core import (
     VertexId,
     build_embedded_tree,
     halin_from_tree,
-    leaves_in_embedding_order,
     validate_halin_substrate,
 )
 from .layout_ops import (

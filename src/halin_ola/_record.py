@@ -6,16 +6,17 @@ together that costs more than importing the rest of the package, and every
 CLI command pays it.
 
 ``@record`` reads the fields from the class annotations, in order, without
-evaluating them.  A class-level value is the field's default; ``field()``
-gives a ``default_factory`` or keeps a field out of ``__init__``,
-``__repr__`` or comparison.  It adds ``__init__`` (which ends by calling
-``__post_init__`` if the class has one), ``__repr__`` as
-``Name(field=value, ...)``, ``__eq__`` over the compared fields of two
-instances of the same class, and ``__match_args__``.  ``frozen=True`` adds
-``__hash__`` over the compared fields and makes assignment and deletion
-raise ``FrozenRecordError``; other records are unhashable.  ``__init__``,
+evaluating them.  A class-level value is the field's default;
+``field(default_factory=...)`` makes one per instance.  It adds ``__init__``
+(which ends by calling ``__post_init__`` if the class has one), ``__repr__``
+as ``Name(field=value, ...)``, ``__eq__`` over the fields of two instances
+of the same class, and ``__match_args__``.  ``frozen=True`` adds
+``__hash__`` over the fields and makes assignment and deletion raise
+``FrozenRecordError``; other records are unhashable.  ``__init__``,
 ``__eq__`` and ``__hash__`` are compiled from source once per class, so a
-record builds and compares as fast as a dataclass.
+record builds and compares as fast as a dataclass.  A fact derived from the
+fields is a ``functools.cached_property``: it writes the instance
+``__dict__`` directly, so it works on frozen records and is not a field.
 """
 
 from __future__ import annotations
@@ -28,22 +29,16 @@ class FrozenRecordError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 
 
-class _Field:
-    __slots__ = ("default", "default_factory", "init", "repr", "compare")
+class _Factory:
+    __slots__ = ("make",)
 
-    def __init__(self, default=_MISSING, default_factory=_MISSING,
-                 init=True, repr=True, compare=True):
-        self.default = default
-        self.default_factory = default_factory
-        self.init = init
-        self.repr = repr
-        self.compare = compare
+    def __init__(self, make):
+        self.make = make
 
 
-def field(*, default_factory=_MISSING, init: bool = True, repr: bool = True,
-          compare: bool = True):
-    """Field options, as the class-level value of an annotated name."""
-    return _Field(_MISSING, default_factory, init, repr, compare)
+def field(*, default_factory):
+    """A field whose default is made by ``default_factory()`` per instance."""
+    return _Factory(default_factory)
 
 
 def record(cls=None, *, frozen: bool = False):
@@ -62,46 +57,35 @@ def _frozen_delattr(self, name):
 
 
 def _build(cls, frozen: bool):
-    fields = {}
-    for name in cls.__annotations__:
-        value = cls.__dict__.get(name, _MISSING)
-        if isinstance(value, _Field):
-            delattr(cls, name)
-            fields[name] = value
-        else:
-            fields[name] = _Field(default=value)
-
+    fields = {name: cls.__dict__.get(name, _MISSING) for name in cls.__annotations__}
     namespace = {"_setattr": object.__setattr__, "_FACTORY": _FACTORY}
-    params, lines, defaults = [], [], []
-    for name, f in fields.items():
-        if not f.init:
-            continue
-        params.append(name)
+    lines, defaults = [], []
+    for name, default in fields.items():
         value = name
-        if f.default_factory is not _MISSING:
-            namespace[f"_factory_{name}"] = f.default_factory
+        if isinstance(default, _Factory):
+            delattr(cls, name)
+            namespace[f"_factory_{name}"] = default.make
             value = f"_factory_{name}() if {name} is _FACTORY else {name}"
             defaults.append(_FACTORY)
-        elif f.default is not _MISSING:
-            defaults.append(f.default)
+        elif default is not _MISSING:
+            defaults.append(default)
         elif defaults:
             raise TypeError(f"non-default field {name!r} follows a default field")
         lines.append(f"    _setattr(self, {name!r}, {value})\n" if frozen
                      else f"    self.{name} = {value}\n")
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()\n")
-    key = "".join(f"self.{name}, " for name, f in fields.items() if f.compare)
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(lines)}"
+    key = "".join(f"self.{name}, " for name in fields)
+    exec(f"def __init__(self, {', '.join(fields)}):\n{''.join(lines)}"
          "def __eq__(self, other):\n"
          "    if other.__class__ is self.__class__:\n"
          f"        return ({key}) == ({key.replace('self.', 'other.')})\n"
          "    return NotImplemented\n"
          f"def __hash__(self):\n    return hash(({key}))\n", namespace)
     namespace["__init__"].__defaults__ = tuple(defaults) or None
-    shown = [name for name, f in fields.items() if f.repr]
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
         return f"{self.__class__.__qualname__}({body})"
 
     namespace["__repr__"] = __repr__
@@ -109,7 +93,7 @@ def _build(cls, frozen: bool):
     for name in ("__init__", "__repr__", "__eq__", "__hash__"):
         methods[name] = namespace[name]
         methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    methods["__match_args__"] = tuple(params)
+    methods["__match_args__"] = tuple(fields)
     if frozen:
         methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     else:

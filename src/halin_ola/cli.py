@@ -45,17 +45,13 @@ from .property_suite import run_suite
 from .tree_ola import brute_force_ola, rbt_ola
 
 
-class _Usage(Exception):
-    pass
-
-
 class _Help(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
-        raise _Usage(message)
+        raise BadParam(message)
 
     def exit(self, status=0, message=None):  # reached only after -h printed help
         raise _Help()
@@ -101,7 +97,7 @@ def _cmd_gen(args) -> int:
     if any(getattr(args, name) is None for name in names):
         flags = [f"--{name}" for name in names]
         listed = ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
-        raise _Usage(f"gen --family {args.family} requires {listed}")
+        raise BadParam(f"gen --family {args.family} requires {listed}")
     if args.family == "caterpillar":
         spec = caterpillar_spec(args.spine, _int_list(args.leaves))
     else:
@@ -118,7 +114,7 @@ def _int_list(text: str) -> List[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
-        raise _Usage(f"expected comma-separated integers, got {text!r}") from exc
+        raise BadParam(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _print_cost(h: HalinGraph, layout) -> None:
@@ -161,7 +157,7 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int) -> int:
             return la_total(h.tree, rbt_ola(h.tree))
         except NotRecursivelyBalanced:
             if h.n > limit:
-                raise _Usage(
+                raise BadParam(
                     "tree is not recursively balanced and too large for the oracle; "
                     "pass --tree-opt or --oracle"
                 ) from None
@@ -170,7 +166,7 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int) -> int:
 
 def _cmd_bound(args) -> int:
     if args.tree_opt is not None and args.tree_opt < 0:
-        raise _Usage(f"--tree-opt must be >= 0, got {args.tree_opt}")
+        raise BadParam(f"--tree-opt must be >= 0, got {args.tree_opt}")
     h = _load_instance(args.input)
     if args.tree_opt is not None:
         tree_opt = args.tree_opt
@@ -239,15 +235,15 @@ def _corpus_entries(spec_text: str) -> Iterator[Tuple[range, Callable[[int], Gen
         if not chunk:
             continue
         if "=" not in chunk:
-            raise _Usage(f"bad corpus entry {chunk!r} (expected family=args)")
+            raise BadParam(f"bad corpus entry {chunk!r} (expected family=args)")
         family, argtext = chunk.split("=", 1)
         if family not in _CORPUS_ENTRY:
-            raise _Usage(f"unknown corpus family {family!r}")
+            raise BadParam(f"unknown corpus family {family!r}")
         try:
             entry = _corpus_entry(family, argtext)
         except ValueError:
-            raise _Usage(f"bad corpus entry {chunk!r} "
-                         f"(expected {_CORPUS_ENTRY[family]})") from None
+            raise BadParam(f"bad corpus entry {chunk!r} "
+                           f"(expected {_CORPUS_ENTRY[family]})") from None
         yield entry
 
 
@@ -261,7 +257,7 @@ def _parse_corpus(spec_text: str) -> List[Tuple[GenSpec, HalinGraph]]:
         raise TooLarge(f"corpus asks for {total} instances; "
                        f"proptest takes at most {MAX_CORPUS_INSTANCES}")
     if not total:
-        raise _Usage("empty corpus")
+        raise BadParam("empty corpus")
     return [(spec, generate(spec)) for keys, make in _corpus_entries(spec_text)
             for spec in map(make, keys)]
 
@@ -385,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _Help:
         return 0
-    except (_Usage, BadParam, NotRecursivelyBalanced, NotTreeOptimalInput,
+    except (BadParam, NotRecursivelyBalanced, NotTreeOptimalInput,
             TooLarge) as exc:
         _emit_error(exc, as_json, 1)
         return 1

@@ -211,12 +211,13 @@ def all_caterpillar_halins_up_to(n_max: int) -> List[Tuple[GenSpec, HalinGraph]]
     return out
 
 
-def standard_corpus(n_random: int = 50, random_n_target: int = 7,
-                    seed0: int = 1000) -> List[Tuple[GenSpec, HalinGraph]]:
-    """The evaluation corpus: wheels 3-8, all caterpillars n<=9, random n<=9."""
+def standard_corpus(n_random: int = 50) -> List[Tuple[GenSpec, HalinGraph]]:
+    """The evaluation corpus: wheels 3-8, all caterpillars n<=9, random n<=9.
+
+    The ``n_random`` random instances have target size 7 and seeds 1000 on.
+    """
     wheels = [GenSpec("wheel", (("spokes", s),)) for s in range(3, 9)]
-    randoms = [GenSpec("random", (("n", random_n_target),), seed=seed0 + i)
-               for i in range(n_random)]
+    randoms = [GenSpec("random", (("n", 7),), seed=1000 + i) for i in range(n_random)]
     return ([(spec, generate(spec)) for spec in wheels]
             + all_caterpillar_halins_up_to(9)
             + [(spec, generate(spec)) for spec in randoms])

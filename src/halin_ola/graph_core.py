@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ._record import field, record
+from ._record import record
 from .errors import CycleDetected, DisconnectedInput, DuplicateChild, InvalidSubstrate
 
 VertexId = int
@@ -23,18 +24,19 @@ VertexId = int
 class EmbeddedTree:
     """Rooted tree with ordered (= plane-embedded) child lists.
 
-    Immutable after construction; safe for concurrent reads.  The preorder
-    in embedding order is computed once, at construction, and every
-    traversal reads it; ``build_embedded_tree`` checks the child lists
-    before that walk.
+    Immutable; safe for concurrent reads.  The preorder in embedding order,
+    the subtree sizes and the heights are cached properties, computed on
+    first read and not in ``==``, ``hash`` or ``repr``.  From Python 3.12
+    ``cached_property`` takes no lock: two threads reading a fact first may
+    both compute it, and both get the same value.
     """
 
     root: VertexId
     children: Tuple[Tuple[VertexId, ...], ...]
     parent: Tuple[Optional[VertexId], ...]
-    _preorder: Tuple[VertexId, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _preorder(self) -> Tuple[VertexId, ...]:
         children = self.children
         order: List[VertexId] = []
         stack = [self.root]
@@ -42,7 +44,7 @@ class EmbeddedTree:
             v = stack.pop()
             order.append(v)
             stack += children[v][::-1]
-        object.__setattr__(self, "_preorder", tuple(order))
+        return tuple(order)
 
     @property
     def n(self) -> int:
@@ -52,40 +54,31 @@ class EmbeddedTree:
     def vertices(self) -> range:
         return range(self.n)
 
-    def is_leaf(self, v: VertexId) -> bool:
-        return not self.children[v]
-
-    def degree(self, v: VertexId) -> int:
-        return len(self.children[v]) + (0 if v == self.root else 1)
-
     def edges(self) -> List[Tuple[VertexId, VertexId]]:
         """Parent-child vertex pairs, smaller id first, by parent id."""
         return [(v, c) if v < c else (c, v)
                 for v, cs in enumerate(self.children) for c in cs]
 
+    @cached_property
     def subtree_sizes(self) -> Tuple[int, ...]:
-        """Size of the subtree rooted at each vertex, summed once per tree.
+        """Size of the subtree rooted at each vertex, summed once per tree."""
+        size = [1] * self.n
+        children = self.children
+        for v in reversed(self._preorder):
+            for c in children[v]:
+                size[v] += size[c]
+        return tuple(size)
 
-        Cached outside the fields, so it is not in ``==``, ``hash`` or ``repr``.
-        """
-        cached = self.__dict__.get("_size_cache")
-        if cached is None:
-            size = [1] * self.n
-            children = self.children
-            for v in reversed(self._preorder):
-                for c in children[v]:
-                    size[v] += size[c]
-            cached = self.__dict__["_size_cache"] = tuple(size)
-        return cached
-
-    def subtree_heights(self) -> List[int]:
+    @cached_property
+    def subtree_heights(self) -> Tuple[int, ...]:
         """Height of the subtree rooted at each vertex, a leaf counting as 1."""
         height = [1] * self.n
+        children = self.children
         for v in reversed(self._preorder):
-            for c in self.children[v]:
+            for c in children[v]:
                 if height[c] >= height[v]:
                     height[v] = height[c] + 1
-        return height
+        return tuple(height)
 
 
 @contextmanager
@@ -152,12 +145,6 @@ def build_embedded_tree(
     return tree
 
 
-def leaves_in_embedding_order(tree: EmbeddedTree) -> List[VertexId]:
-    """Leaves in depth-first, child-order (left-to-right) sequence."""
-    children = tree.children
-    return [v for v in tree._preorder if not children[v]]
-
-
 def validate_halin_substrate(tree: EmbeddedTree) -> List[str]:
     """Check that gluing a leaf cycle onto ``tree`` yields min degree 3.
 
@@ -181,10 +168,19 @@ def validate_halin_substrate(tree: EmbeddedTree) -> List[str]:
 
 @record(frozen=True)
 class HalinGraph:
-    """A plane tree plus the cycle through its leaves in embedding order."""
+    """A plane tree plus the cycle through its leaves in embedding order.
+
+    The tree is the only field; the cycle is read off its embedding, so it
+    cannot disagree with the tree.  ``halin_from_tree`` checks the tree.
+    """
 
     tree: EmbeddedTree
-    cycle_order: Tuple[VertexId, ...] = field(compare=False)
+
+    @cached_property
+    def cycle_order(self) -> Tuple[VertexId, ...]:
+        """The leaves in depth-first, child-order (left-to-right) sequence."""
+        children = self.tree.children
+        return tuple([v for v in self.tree._preorder if not children[v]])
 
     @property
     def n(self) -> int:
@@ -208,10 +204,10 @@ class HalinGraph:
 def halin_from_tree(tree: EmbeddedTree) -> HalinGraph:
     """Close the leaves of a valid substrate tree into a Halin graph.
 
-    The cycle order is always recomputed from the embedding; it is never an
-    independent degree of freedom.
+    Raises InvalidSubstrate when ``validate_halin_substrate`` finds a
+    violation.
     """
     violations = validate_halin_substrate(tree)
     if violations:
         raise InvalidSubstrate(violations)
-    return HalinGraph(tree=tree, cycle_order=tuple(leaves_in_embedding_order(tree)))
+    return HalinGraph(tree)

@@ -135,7 +135,7 @@ def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
     """Exchange child slots of ``order`` in place, top-down, as ``plan`` says.
 
     A node's child subtrees occupy equal-size contiguous slots around the
-    node's own position; the slot size is read off ``tree.subtree_sizes()``.
+    node's own position; the slot size is read off ``tree.subtree_sizes``.
     Exchanging two same-side slots never changes the tree cost; exchanging
     slots on opposite sides of the node is paired with reversing both
     blocks, which restores the two parent-edge expansions.
@@ -151,7 +151,7 @@ def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
     child slots around it, i.e. the layout is not a block-structured tree
     optimum.
     """
-    children, parent, size = tree.children, tree.parent, tree.subtree_sizes()
+    children, parent, size = tree.children, tree.parent, tree.subtree_sizes
     index = order.index
     exchanges = []
     record_exchange = exchanges.append
@@ -258,7 +258,7 @@ def rearrange_to_halin_ola(h: HalinGraph,
         if in_cost != opt_cost:
             raise NotTreeOptimalInput(f"input tree cost {in_cost} != optimum {opt_cost}")
 
-    heights = tree.subtree_heights()
+    heights = tree.subtree_heights
 
     def sort_toward_reversed(v: VertexId, occupants: List[VertexId]):
         # selection sort into reversed embedding order (at the root, the

@@ -218,7 +218,7 @@ def _dot_pieces(h: HalinGraph, layout: Optional[Layout]) -> Iterator[str]:
         if layout is None:
             yield "  %d;\n" * len(ids) % tuple(ids)
         else:
-            cells = chain.from_iterable(zip(ids, ids, layout.positions()[lo:lo + lines]))
+            cells = chain.from_iterable(zip(ids, ids, layout.positions[lo:lo + lines]))
             yield '  %d [label="%d:%d"];\n' * len(ids) % tuple(cells)
     tree_pairs = ((v, c) for v, cs in enumerate(tree.children) for c in cs)
     for style, pairs in (("dashed", tree_pairs), ("bold", iter(h.cycle_pairs()))):

@@ -6,6 +6,7 @@ operation returns a fresh layout.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Tuple, Union
 
 from ._record import record
@@ -33,24 +34,13 @@ class Layout:
     def n(self) -> int:
         return len(self.vertex_at)
 
-    def position(self, v: VertexId) -> int:
-        return self._pos[v]
-
-    @property
-    def _pos(self) -> Tuple[int, ...]:
-        # lazily cached inverse
-        cached = self.__dict__.get("_pos_cache")
-        if cached is None:
-            cached = [0] * self.n
-            for i, v in enumerate(self.vertex_at):
-                cached[v] = i + 1
-            cached = tuple(cached)
-            self.__dict__["_pos_cache"] = cached
-        return cached
-
+    @cached_property
     def positions(self) -> Tuple[int, ...]:
-        """Position of every vertex, indexed by vertex id."""
-        return self._pos
+        """Position of every vertex, indexed by vertex id; cached."""
+        pos = [0] * self.n
+        for i, v in enumerate(self.vertex_at):
+            pos[v] = i + 1
+        return tuple(pos)
 
     def reversed(self) -> "Layout":
         return Layout(tuple(reversed(self.vertex_at)))
@@ -72,8 +62,15 @@ def la_cost(g: GraphLike, layout: Layout) -> ArrangementReport:
     The tree part sums each vertex's distance to its parent; for a
     HalinGraph the cycle part sums the distances of consecutive cycle
     leaves, and for a plain tree it is 0.
+
+    The layout keeps its last report, keyed by the graph object: both are
+    immutable, so pricing the same pair again (a solver's bound check, then
+    the CLI's cost line) computes nothing.
     """
-    pos = layout.positions()
+    last = layout.__dict__.get("_last_cost")
+    if last is not None and last[0] is g:
+        return last[1]
+    pos = layout.positions
     if isinstance(g, HalinGraph):
         tree, ring = g.tree, g.cycle_pairs()
     else:
@@ -81,7 +78,9 @@ def la_cost(g: GraphLike, layout: Layout) -> ArrangementReport:
     tree_cost = sum(abs(pos[v] - pos[p]) for v, p in enumerate(tree.parent)
                     if p is not None)
     cycle_cost = sum(abs(pos[a] - pos[b]) for a, b in ring)
-    return ArrangementReport(tree_cost + cycle_cost, tree_cost, cycle_cost)
+    report = ArrangementReport(tree_cost + cycle_cost, tree_cost, cycle_cost)
+    layout.__dict__["_last_cost"] = (g, report)
+    return report
 
 
 def la_total(g: GraphLike, layout: Layout) -> int:
@@ -90,7 +89,7 @@ def la_total(g: GraphLike, layout: Layout) -> int:
 
 
 def _contiguous_range(layout: Layout, block: Iterable[VertexId]) -> Tuple[int, int]:
-    pos = layout.positions()
+    pos = layout.positions
     ps = sorted(pos[v] for v in block)
     if not ps:
         raise NotContiguous("empty block")

@@ -144,9 +144,10 @@ def check_extremes_are_leaves(h: HalinGraph, layout: Layout) -> ExtremesVerdict:
     ``VIOLATION``: anything else.
     """
     tree = h.tree
+    children = tree.children
 
     def leaf_extreme(cur: Layout, extreme: int) -> bool:
-        return tree.is_leaf(cur.vertex_at[extreme])
+        return not children[cur.vertex_at[extreme]]
 
     if leaf_extreme(layout, 0) and leaf_extreme(layout, layout.n - 1):
         return ExtremesVerdict.BOTH_LEAVES
@@ -155,17 +156,17 @@ def check_extremes_are_leaves(h: HalinGraph, layout: Layout) -> ExtremesVerdict:
     def repairs(cur: Layout, extreme: int) -> List[Layout]:
         """Cost-preserving relabelings making this extreme a leaf."""
         v = cur.vertex_at[extreme]
-        if tree.is_leaf(v):
+        if not children[v]:
             return [cur]
-        if tree.degree(v) != 3:
+        if len(children[v]) + (v != tree.root) != 3:  # tree degree
             return []
-        leaf_children = [c for c in tree.children[v] if tree.is_leaf(c)]
+        leaf_children = [c for c in children[v] if not children[c]]
         if len(leaf_children) < 2:
             return []
         out = []
         for c in leaf_children:
             order = list(cur.vertex_at)
-            i, j = cur.position(v) - 1, cur.position(c) - 1
+            i, j = cur.positions[v] - 1, cur.positions[c] - 1
             order[i], order[j] = order[j], order[i]
             candidate = Layout(tuple(order))
             if la_total(h, candidate) == base_cost:
@@ -333,7 +334,7 @@ def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
                     if spine is None:
                         spine = spines[ends] = _spine(h.tree, *ends)
                     verdict = unmatched[order] = _structural_verdict(
-                        spine, layout.positions())
+                        spine, layout.positions)
                 contiguous, monotone, disjoint, vacuous = verdict
                 failed = []
                 if not contiguous:

@@ -52,8 +52,6 @@ def complete_graph(n: int) -> SimpleGraph:
 
 @record(frozen=True)
 class RbtCertificate:
-    subtree_size: Tuple[int, ...]
-    balanced: Tuple[bool, ...]
     verdict: bool
 
 
@@ -70,25 +68,19 @@ def is_recursively_balanced(tree: EmbeddedTree,
                             stats: Optional[VisitCounter] = None) -> RbtCertificate:
     """Check that every internal vertex heads equal-size balanced subtrees.
 
-    The sizes are the tree's own ``subtree_sizes()`` tuple.
+    That holds exactly when every vertex's children head subtrees of one
+    size, read from the tree's cached ``subtree_sizes``.
     """
-    n = tree.n
     if stats is not None:
-        stats.touches += 2 * n  # the preorder, then one visit per vertex
-    children = tree.children
-    size = tree.subtree_sizes()
-    balanced = [True] * n
-    for v in reversed(tree._preorder):
-        cs = children[v]
+        stats.touches += 2 * tree.n  # the preorder, then one visit per vertex
+    size = tree.subtree_sizes
+    for cs in tree.children:
         if cs:
             first = size[cs[0]]
             for c in cs:
-                if size[c] != first or not balanced[c]:
-                    balanced[v] = False
-                    break
-    return RbtCertificate(
-        subtree_size=size, balanced=tuple(balanced), verdict=balanced[tree.root]
-    )
+                if size[c] != first:
+                    return RbtCertificate(verdict=False)
+    return RbtCertificate(verdict=True)
 
 
 def rbt_ola(tree: EmbeddedTree, stats: Optional[VisitCounter] = None) -> Layout:

@@ -15,6 +15,7 @@ from halin_ola import (
     CycleDetected,
     DisconnectedInput,
     DuplicateChild,
+    HalinGraph,
     InvalidSubstrate,
     Layout,
     ParseError,
@@ -258,7 +259,7 @@ class TestRepeatedKeys:
 def _reference_dot(h, layout=None) -> str:
     lines = ["graph halin {"]
     for v in range(h.n):
-        lines.append(f"  {v};" if layout is None else f'  {v} [label="{v}:{layout.position(v)}"];')
+        lines.append(f"  {v};" if layout is None else f'  {v} [label="{v}:{layout.positions[v]}"];')
     for v in range(h.n):
         for c in h.tree.children[v]:
             lines.append(f"  {min(v, c)} -- {max(v, c)} [style=dashed];")
@@ -417,6 +418,21 @@ class TestCliPipeline:
         assert main(["bound", "-i", str(inst), "--oracle"]) == 0
         assert capsys.readouterr().out.strip() == "14"
 
+    @pytest.mark.parametrize("method", ["direct", "rearrange"])
+    def test_solve_prices_its_layout_once(self, method, tmp_path, capsys, monkeypatch):
+        # the cost line is the report of the solver's own bound check, so
+        # the cycle is walked once; it reads as ``cost`` prints it
+        inst, lay = tmp_path / "k5.json", tmp_path / "k5.layout.json"
+        main(["gen", "--family", "kary", "--k", "3", "--c", "2", "--h", "5", "-o", str(inst)])
+        real, calls = HalinGraph.cycle_pairs, []
+        monkeypatch.setattr(HalinGraph, "cycle_pairs", lambda h: calls.append(h) or real(h))
+        capsys.readouterr()
+        assert main(["solve", "--method", method, "-i", str(inst), "-o", str(lay)]) == 0
+        assert len(calls) == 1
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert main(["cost", "-i", str(inst), "-l", str(lay)]) == 0
+        assert capsys.readouterr().out.splitlines() == [printed]
+
     def test_verify_exit_3_on_suboptimal(self, tmp_path):
         inst = tmp_path / "w5.json"
         bad = tmp_path / "bad.layout.json"
@@ -472,6 +488,19 @@ class TestCliPipeline:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "BadParam"
         assert payload["exitCode"] == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bound"], "the following arguments are required: -i/--input"),
+        (["gen", "--family", "wheel", "-o", "x.json"], "gen --family wheel requires --spokes"),
+    ], ids=["argparse", "handler"])
+    def test_usage_errors_are_bad_param(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--json", *argv]) == 1
+        text, payload = capsys.readouterr().err.splitlines()
+        assert text == f"error: {message}"
+        assert json.loads(payload) == {"error": "BadParam", "message": message,
+                                       "exitCode": 1}
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("process_argv,argv,as_json", [
         (["prog", "--json"], ["gen"], False),

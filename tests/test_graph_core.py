@@ -6,13 +6,13 @@ from halin_ola import (
     CycleDetected,
     DisconnectedInput,
     DuplicateChild,
+    HalinGraph,
     InvalidSubstrate,
     SimpleGraph,
     build_embedded_tree,
     cycle_graph,
     gen_random_halin,
     halin_from_tree,
-    leaves_in_embedding_order,
     validate_halin_substrate,
 )
 
@@ -54,20 +54,19 @@ class TestBuildEmbeddedTree:
     def test_single_vertex(self):
         t = build_embedded_tree(0, {})
         assert t.n == 1
-        assert t.is_leaf(0)
-        assert t.subtree_heights()[t.root] == 1
+        assert t.children[0] == ()
+        assert t.subtree_heights[t.root] == 1
 
     def test_star_shape(self):
         t = star(3)
         assert t.n == 4
-        assert t.degree(0) == 3
-        assert all(t.degree(v) == 1 for v in (1, 2, 3))
+        assert t.children == ((1, 2, 3), (), (), ())
         assert len(t.edges()) == 3
 
     def test_child_order_preserved(self):
         t = build_embedded_tree(0, {0: [3, 1, 2]})
         assert t.children[0] == (3, 1, 2)
-        assert leaves_in_embedding_order(t) == [3, 1, 2]
+        assert HalinGraph(t).cycle_order == (3, 1, 2)
 
     def test_dfs_order_is_embedding_preorder(self):
         t = tri_star()
@@ -87,24 +86,24 @@ class TestBuildEmbeddedTree:
             expected.append(v)
             stack.extend(reversed(t.children[v]))
         assert t._preorder == tuple(expected)
-        assert leaves_in_embedding_order(t) == [v for v in expected if not t.children[v]]
+        assert HalinGraph(t).cycle_order == tuple(v for v in expected if not t.children[v])
 
     def test_subtree_sizes(self):
         t = tri_star()
-        sizes = t.subtree_sizes()
+        sizes = t.subtree_sizes
         assert sizes[0] == 10
         assert sizes[1] == sizes[2] == sizes[3] == 3
         assert sizes[4] == 1
 
     def test_subtree_sizes_cached_outside_the_fields(self):
         t, u = tri_star(), tri_star()
-        sizes = t.subtree_sizes()
-        assert t.subtree_sizes() is sizes
+        sizes = t.subtree_sizes
+        assert t.subtree_sizes is sizes
         assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
 
     def test_height(self):
-        assert star(3).subtree_heights()[0] == 2
-        assert tri_star().subtree_heights()[0] == 3
+        assert star(3).subtree_heights[0] == 2
+        assert tri_star().subtree_heights == (3, 2, 2, 2, 1, 1, 1, 1, 1, 1)
 
     def test_non_contiguous_ids_rejected(self):
         with pytest.raises(DisconnectedInput):

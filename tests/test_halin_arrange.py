@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -108,19 +109,19 @@ class TestCycleTightness:
 
 class TestRearrange:
     def test_sizes_summed_once_per_tree(self, monkeypatch):
-        # each run of the summing loop builds a new tuple, so one object
-        # handed to every caller means the loop ran once
+        # the summing routine behind the cached property, counted: two
+        # certificates, the walk and a third certificate sum it once
         h = gen_kary_rbt_halin(3, 2, 4)
-        real = EmbeddedTree.subtree_sizes
+        real = EmbeddedTree.__dict__["subtree_sizes"].func
         seen = []
-        monkeypatch.setattr(EmbeddedTree, "subtree_sizes",
-                            lambda tree: seen.append(real(tree)) or seen[-1])
+        counted = cached_property(lambda tree: seen.append(real(tree)) or seen[-1])
+        counted.__set_name__(EmbeddedTree, "subtree_sizes")
+        monkeypatch.setattr(EmbeddedTree, "subtree_sizes", counted)
         rbt_ola(h.tree)
         rearrange_to_halin_ola(h)
-        cert = is_recursively_balanced(h.tree)
-        # two certificates, the walk, then the third certificate
-        assert len(seen) == 4
-        assert all(sizes is cert.subtree_size for sizes in seen)
+        assert is_recursively_balanced(h.tree).verdict
+        assert len(seen) == 1 and h.tree.subtree_sizes is seen[0]
+        assert seen[0] == real(h.tree)
 
     @pytest.mark.parametrize("spokes", [3, 4, 5, 6])
     def test_wheels_meet_bound(self, spokes):
@@ -311,7 +312,7 @@ def test_refusal_parity_digest():
             order = list(range(n))
             rng.shuffle(order)
             inputs.append(order)
-        leaves = [v for v in range(n) if h.tree.is_leaf(v)]
+        leaves = [v for v in range(n) if not h.tree.children[v]]
         for seed in range(150):
             order = list(scramble_tree_ola(h.tree, base, seed).vertex_at)
             for _ in range(1 + seed % 2):  # half the time, of two leaves

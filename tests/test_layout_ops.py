@@ -33,9 +33,9 @@ perm_strategy = st.integers(2, 40).flatmap(
 class TestLayout:
     def test_positions_are_inverse(self):
         lay = Layout((2, 0, 1))
-        assert lay.position(2) == 1
-        assert lay.position(0) == 2
-        assert lay.positions() == (2, 3, 1)
+        assert lay.positions == (2, 3, 1)
+        assert lay.positions is lay.positions  # computed once, then kept
+        assert lay == Layout((2, 0, 1)) and repr(lay) == "Layout(vertex_at=(2, 0, 1))"
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestCost:
         h = gen_random_halin(data.draw(st.integers(4, 60)),
                              seed=data.draw(st.integers(0, 10**6)))
         lay = Layout(tuple(data.draw(st.permutations(list(h.tree.vertices)))))
-        pos = lay.positions()
+        pos = lay.positions
 
         def edge_sum(pairs):
             return sum(abs(pos[u] - pos[v]) for u, v in pairs)
@@ -137,8 +137,8 @@ class TestTypeAndDelta:
     def test_is_of_type(self):
         # the property suite's test that blocks wholly precede one another
         lay = Layout((3, 4, 0, 1, 2))
-        assert _blocks_in_order(lay.positions(), [[3, 4], [0], [1, 2]])
-        assert not _blocks_in_order(lay.positions(), [[0], [3, 4], [1, 2]])
+        assert _blocks_in_order(lay.positions, [[3, 4], [0], [1, 2]])
+        assert not _blocks_in_order(lay.positions, [[0], [3, 4], [1, 2]])
 
 
 class TestSpinal:

@@ -36,7 +36,7 @@ def spine_of(h, lay):
 
 def verdict(h, lay):
     """(contiguous, monotone, branches disjoint, branch pass vacuous)."""
-    return _structural_verdict(spine_of(h, lay), lay.positions())
+    return _structural_verdict(spine_of(h, lay), lay.positions)
 
 
 class TestChecksOnOptima:
@@ -65,12 +65,12 @@ class TestBranchNonOverlap:
         lay = Layout((1, 2, 0, 3, 4))
         # the hub has one branch per side here: nothing to compare
         assert verdict(h, lay)[2:] == (True, True)
-        assert _same_side_pairs(_branch_sides(lay.positions(), spine_of(h, lay))) == 0
+        assert _same_side_pairs(_branch_sides(lay.positions, spine_of(h, lay))) == 0
 
     def test_same_side_pair_counted(self):
         h = gen_wheel(5)
         lay = Layout((1, 2, 3, 0, 4, 5))  # two same-side branches at the hub
-        assert _same_side_pairs(_branch_sides(lay.positions(), spine_of(h, lay))) >= 1
+        assert _same_side_pairs(_branch_sides(lay.positions, spine_of(h, lay))) >= 1
         assert verdict(h, lay)[2:] == (True, False)
 
 
@@ -208,7 +208,7 @@ def _assert_mirror_and_endpoint_facts(h, optima):
             assert (path, subtrees, branches) == _reference_spine(h.tree, *ends), ends
             assert _as_sets(_spine(h.tree, *ends[::-1])) == (
                 path[::-1], subtrees[::-1], branches[::-1]), ends
-        return _structural_verdict(spines[ends], Layout(order).positions())
+        return _structural_verdict(spines[ends], Layout(order).positions)
 
     for lay in optima:
         assert verdict_of(lay.vertex_at) == verdict_of(lay.vertex_at[::-1]), lay

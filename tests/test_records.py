@@ -30,6 +30,7 @@ from halin_ola import (
     SwapTrace,
     build_embedded_tree,
 )
+from halin_ola._record import field
 
 STAR = build_embedded_tree(0, {0: [1, 2, 3]})
 
@@ -42,10 +43,10 @@ RECORDS = [
      "EmbeddedTree(root=0, children=((1, 2, 3), (), (), ()), parent=(None, 0, 0, 0))",
      True),
     (HalinGraph,
-     dict(tree=STAR, cycle_order=(1, 2, 3)),
-     dict(tree=build_embedded_tree(0, {0: [3, 2, 1]}), cycle_order=(3, 2, 1)),
+     dict(tree=STAR),
+     dict(tree=build_embedded_tree(0, {0: [3, 2, 1]})),
      "HalinGraph(tree=EmbeddedTree(root=0, children=((1, 2, 3), (), (), ()), "
-     "parent=(None, 0, 0, 0)), cycle_order=(1, 2, 3))",
+     "parent=(None, 0, 0, 0)))",
      True),
     (GenSpec,
      dict(family="random", params=(("n", 9),), seed=4),
@@ -58,10 +59,9 @@ RECORDS = [
      "SimpleGraph(n=3, edge_pairs=((0, 1), (1, 2)))",
      True),
     (RbtCertificate,
-     dict(subtree_size=(4, 1, 1, 1), balanced=(True, True, True, True), verdict=True),
-     dict(subtree_size=(4, 1, 1, 1), balanced=(False, True, True, True), verdict=True),
-     "RbtCertificate(subtree_size=(4, 1, 1, 1), balanced=(True, True, True, True), "
-     "verdict=True)",
+     dict(verdict=True),
+     dict(verdict=False),
+     "RbtCertificate(verdict=True)",
      True),
     (OracleResult,
      dict(optimal_cost=2, optimal_layouts=(Layout((0, 1, 2)),), optimal_count=2,
@@ -152,11 +152,18 @@ def test_record_semantics(cls, values, other, text, frozen):
         assert record == twin
 
 
-def test_cycle_order_not_compared():
-    a = HalinGraph(STAR, (1, 2, 3))
-    b = HalinGraph(STAR, (3, 2, 1))
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) != repr(b)
+def test_cycle_order_derived_from_tree():
+    tree = build_embedded_tree(0, {0: [4, 1, 2], 4: [3, 5]})
+    h = HalinGraph(tree)
+    assert h.cycle_order == (3, 5, 1, 2)  # the leaves in preorder
+    assert h.cycle_order is h.cycle_order
+    assert h == HalinGraph(tree) and "cycle_order" not in repr(h)
+    with pytest.raises(TypeError):
+        HalinGraph(tree, (3, 5, 1, 2))
+    with pytest.raises(TypeError):
+        HalinGraph(tree=tree, cycle_order=(3, 5, 1, 2))
+    with pytest.raises(AttributeError):
+        h.cycle_order = (1, 2, 3, 5)
 
 
 def test_preorder_not_compared_nor_shown():
@@ -170,6 +177,14 @@ def test_preorder_not_compared_nor_shown():
         EmbeddedTree(root=0, children=((),), parent=(None,), _preorder=(0,))
     with pytest.raises(AttributeError):
         a._preorder = ()
+
+
+def test_field_takes_only_a_factory():
+    for option in ("init", "repr", "compare", "default"):
+        with pytest.raises(TypeError):
+            field(default_factory=list, **{option: False})
+    with pytest.raises(TypeError):
+        field()
 
 
 def test_defaults():
@@ -193,7 +208,7 @@ def test_post_init_checks():
         Layout((0, 0, 1))
     with pytest.raises(ValueError, match="self-loop"):
         SimpleGraph(2, ((1, 1),))
-    assert Layout(vertex_at=(1, 0)).positions() == (2, 1)
+    assert Layout(vertex_at=(1, 0)).positions == (2, 1)
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
