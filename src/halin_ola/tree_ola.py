@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._record import record
 from .errors import BadParam, NotRecursivelyBalanced, TooLarge
@@ -19,7 +19,8 @@ from .graph_core import EmbeddedTree, VertexId, _collector_paused
 from .layout_ops import Layout
 
 LAYOUT_CAP = 10_000
-# The subset DP holds two lists of 2^n ints: about 0.1 GB at n = 20.
+# The subset DP holds two lists of 2^n ints: about 0.1 GB at n = 20.  A
+# call that lists layouts holds a third list of 2^n slots while it walks.
 _ORACLE_MAX_N = 20
 
 
@@ -191,11 +192,13 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]], layout_cap: int) -> Ora
     A layout's cost is the sum of ``cut(prefix)`` over its n-1 gaps, so with
     ``h[full] = 0`` and ``h[S] = cut[S] + min_{v not in S} h[S | v]`` the
     optimum is ``h[0]``; ``cnt[S]`` sums the counts of the minimising
-    extensions.  Optima are walked depth-first from the empty prefix in
-    increasing vertex order, i.e. lexicographically.  Only layouts whose
-    first vertex is smaller than their last are kept, each emitted with its
-    reversal, up to ``layout_cap``; the walk stops once it has enough and is
-    skipped at cap 0.
+    extensions.  That is all that runs at cap 0.  Otherwise
+    ``_first_optima`` records, for each prefix set that optimal steps reach,
+    its optimal next vertices and the vertices an optimal completion can
+    end on, and walks only along that record, entering a prefix only if it
+    can still end above its first vertex.  It lists in lexicographic order
+    the optima whose first vertex is smaller than their last, each emitted
+    with its reversal, up to ``layout_cap``.
     """
     # masks[v][k]: the neighbours joined to v by more than k parallel edges.
     deg = [0] * n
@@ -236,41 +239,79 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]], layout_cap: int) -> Ora
         h[s] += best
         cnt[s] = ways
 
-    want = (layout_cap + 1) // 2
-    kept: List[Tuple[int, ...]] = []
-    prefix: List[int] = []
-
-    bits = [(v, 1 << v) for v in range(n)]
-
-    def steps(s: int) -> Iterator[Tuple[int, int]]:
-        """(v, s | 1 << v) for each v outside s whose step keeps h minimal."""
-        nxt = [(v, s | b) for v, b in bits if not s & b]
-        best = min([h[t] for _, t in nxt])
-        return iter([vt for vt in nxt if h[vt[1]] == best])
-
-    # iterative, so the walk holds no reference to itself: one step
-    # iterator per prefix on the current path
-    stack = [steps(0)] if want else []
-    while stack:
-        for v, t in stack[-1]:
-            prefix.append(v)
-            if t != full:
-                stack.append(steps(t))
-                break
-            if prefix[0] < prefix[-1]:
-                kept.append(tuple(prefix))
-                if len(kept) == want:
-                    stack.clear()
-                    break
-            prefix.pop()
-        else:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-    layouts: List[Layout] = []
-    for t in kept:
-        layouts += (Layout(t), Layout(t[::-1]))
+    layouts = _first_optima(n, h, layout_cap) if layout_cap else []
     return OracleResult(h[0], tuple(layouts[:layout_cap]), cnt[0], full + 1)
+
+
+def _first_optima(n: int, h: List[int], cap: int) -> List[Layout]:
+    """The first ``cap`` optima in the listing order (one more if ``cap`` is
+    odd), or all of them, read from the subset DP's filled ``h``.
+
+    ``rec[S] = ends << n | nxt`` for each prefix set S that optimal steps
+    reach: ``nxt`` holds its optimal next vertices, ``ends`` the vertices
+    its optimal completions end on.  Every prefix the walk enters leads to
+    a kept optimum, so it enters at most n prefixes per kept optimum.
+    """
+    full = (1 << n) - 1
+    rec = [0] * (full + 1)
+    reach = [0]
+    for s in reach:  # grows while read: breadth first, one prefix size at a time
+        free = full ^ s
+        best = None
+        nxt = 0
+        while free:
+            low = free & -free
+            free ^= low
+            x = h[s | low]
+            if best is None or x < best:
+                best, nxt = x, low
+            elif x == best:
+                nxt |= low
+        rec[s] = nxt
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            if not rec[s | low]:
+                rec[s | low] = -1  # queued; overwritten when read
+                reach.append(s | low)
+    for s in reversed(reach):
+        nxt = m = rec[s]
+        ends = 0
+        while m:
+            low = m & -m
+            m ^= low
+            ends |= rec[s | low] >> n
+        # rec[full] is 0, so a set with one free vertex gets that vertex
+        rec[s] = (ends or nxt) << n | nxt
+    del reach  # the walk needs only rec
+
+    layouts: List[Layout] = []
+    prefix: List[int] = []
+    s = 0
+    todo = [rec[0] & full]  # untried next vertices of each prefix on the path
+    while todo:
+        m = todo[-1]
+        if not m:
+            todo.pop()
+            if prefix:
+                s ^= 1 << prefix.pop()
+            continue
+        low = m & -m
+        todo[-1] = m ^ low
+        t = s | low
+        if t == full:  # s was entered, so this last vertex is above the first
+            kept = (*prefix, low.bit_length() - 1)
+            layouts += (Layout(kept), Layout(kept[::-1]))
+            if len(layouts) >= cap:
+                break
+            continue
+        if not prefix:
+            above = full ^ ((low << 1) - 1)  # the vertices above the first
+        if rec[t] >> n & above:
+            prefix.append(low.bit_length() - 1)
+            s = t
+            todo.append(rec[t] & full)
+    return layouts
 
 
 def brute_force_ola(g, limit: int = 10, pruned: bool = True,
@@ -278,9 +319,11 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
     """Exact optimum of any small graph.
 
     The default path is the prefix-cut subset DP, O(2^n * n) time and about
-    2 * 2^n list slots.  ``pruned=False`` runs the independent enumeration
-    of all n! permutations; both paths must agree, which the test suite
-    checks for all n <= 7 instances.
+    2 * 2^n list slots.  Only when layouts are listed does it hold one more
+    list of 2^n slots, and then it walks only the optima it lists.
+    ``pruned=False`` runs the independent enumeration of all n!
+    permutations; both paths must agree, which the test suite checks for
+    all n <= 7 instances.
 
     ``layout_cap`` bounds how many optimal layouts are listed (default
     ``LAYOUT_CAP``); ``0`` lists none and skips the enumeration, which is

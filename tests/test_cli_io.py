@@ -624,6 +624,24 @@ class TestCliPipeline:
         assert main(["bound", "-i", str(inst), "--tree-opt", "0"]) == 0
         assert capsys.readouterr().out == "8\n"
 
+    def test_tree_optimum_refusal_names_only_own_options(self, tmp_path, capsys):
+        # a random instance whose tree is not recursively balanced, with n
+        # above the default oracle limit of 10
+        inst = tmp_path / "r.json"
+        lay = tmp_path / "r.layout.json"
+        assert main(["gen", "--family", "random", "--n", "30", "--seed", "1",
+                     "-o", str(inst)]) == 0
+        n = parse_instance(inst.read_bytes()).n
+        lay.write_bytes(serialize_layout(Layout(tuple(range(n)))))
+        capsys.readouterr()
+        head = "error: tree is not recursively balanced and too large for the oracle; "
+        assert main(["bound", "-i", str(inst)]) == 1
+        assert capsys.readouterr() == ("", head + "pass --tree-opt or --oracle\n")
+        assert main(["verify", "-i", str(inst), "-l", str(lay)]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", head + f"n={n} exceeds --limit 10\n")
+        assert "--tree-opt" not in out.err
+
     def test_rearrange_rejects_layout_without_equal_blocks(self, tmp_path, capsys):
         # an optimal tree layout of kary(3,2,2) (cost 15) whose root block
         # does not split into equal child slots

@@ -1,8 +1,9 @@
 import hashlib
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halin_ola import (
@@ -193,6 +194,33 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    # tracemalloc peaks in bytes, measured on CPython 3.11.7 before the
+    # listing kept a per-prefix record: (graph, cap 0 peak, default cap peak)
+    _PARENT_PEAKS = [
+        (lambda: SimpleGraph(14, ()), 679_741, 3_286_676),
+        (lambda: gen_wheel(13), 281_408, 2_583_976),
+    ]
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="peaks pinned on CPython 3.11")
+    @pytest.mark.parametrize("make, peak0, peak", _PARENT_PEAKS)
+    def test_listing_memory(self, make, peak0, peak):
+        # the record is paid only when layouts are listed, and costs at
+        # most 1 MiB there; an edgeless graph reaches every prefix set.
+        # Peaks drift by a few hundred bytes between runs, so cap 0 gets
+        # 4 KiB; one more 2^14-slot list would be 128 KiB.
+        got = []
+        for cap in (0, LAYOUT_CAP):
+            g = make()
+            tracemalloc.start()
+            try:
+                brute_force_ola(g, limit=14, layout_cap=cap)
+                got.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert got[0] <= peak0 + 4096
+        assert got[1] <= peak + 2**20
+
     def test_layout_cap(self):
         tree = star(8)
         res = brute_force_ola(tree)
@@ -225,6 +253,26 @@ class TestOracle:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "6ae28cefe6d244afbe4e8d0e405498091b4cdde0c430c7c4b01eb11b3ecb4f2d"
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                             .filter(lambda e: e[0] != e[1]), max_size=2 * n * n))))
+    @example((2, []))
+    @example((7, []))
+    @example((6, [(0, 1), (2, 3), (3, 4), (4, 2), (2, 3)]))
+    def test_listing_order(self, graph):
+        # an independent spec of the DP's order: the lexicographically
+        # sorted optima whose first vertex is smaller than their last, each
+        # followed by its reversal, cut to the cap
+        n, edges = graph
+        g = SimpleGraph(n, tuple(edges))
+        scan = brute_force_ola(g, pruned=False, layout_cap=LAYOUT_CAP)
+        firsts = sorted(lay.vertex_at for lay in scan.optimal_layouts
+                        if lay.vertex_at[0] < lay.vertex_at[-1])
+        spec = [Layout(x) for t in firsts for x in (t, t[::-1])]
+        for cap in (0, 1, 2, 3, 7, LAYOUT_CAP):
+            assert brute_force_ola(g, layout_cap=cap).optimal_layouts == tuple(spec[:cap])
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
