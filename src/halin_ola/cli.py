@@ -151,8 +151,8 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int, advice: str) -> int:
-    """The tree optimum; ``advice`` ends the refusal in the command's own options."""
+def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int, advice: str = "") -> int:
+    """The tree optimum; ``advice`` ends the refusal with the command's own options."""
     if not use_oracle:
         try:
             return la_total(h.tree, rbt_ola(h.tree))
@@ -160,7 +160,7 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int, advice: str) -> i
             if h.n > limit:
                 raise BadParam(
                     "tree is not recursively balanced and too large for the oracle; "
-                    + advice
+                    f"n={h.n} exceeds --limit {limit}" + advice
                 ) from None
     return brute_force_ola(h.tree, limit=limit, layout_cap=0).optimal_cost
 
@@ -172,7 +172,7 @@ def _cmd_bound(args) -> int:
     if args.tree_opt is not None:
         tree_opt = args.tree_opt
     else:
-        tree_opt = _tree_optimum(h, args.oracle, args.limit, "pass --tree-opt or --oracle")
+        tree_opt = _tree_optimum(h, args.oracle, args.limit, "; pass --tree-opt")
     print(halin_lower_bound(h, tree_opt))
     return 0
 
@@ -180,8 +180,7 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     h = _load_instance(args.input)
     layout = _load_layout(args.layout, h)
-    tree_opt = _tree_optimum(h, args.oracle, args.limit,
-                             f"n={h.n} exceeds --limit {args.limit}")
+    tree_opt = _tree_optimum(h, args.oracle, args.limit)
     cert = certify(h, layout, tree_opt)
     payload = {
         "layoutCost": cert.layout_cost,

@@ -9,7 +9,6 @@ a plain scan of all permutations.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,7 +25,10 @@ _ORACLE_MAX_N = 20
 
 @record(frozen=True)
 class SimpleGraph:
-    """Minimal edge-list graph for oracle runs on non-Halin instances."""
+    """Minimal edge-list graph for oracle runs on non-Halin instances.
+
+    A self-loop is refused here, a repeated edge by ``brute_force_ola``.
+    """
 
     n: int
     edge_pairs: Tuple[Tuple[VertexId, VertexId], ...]
@@ -44,6 +46,7 @@ class SimpleGraph:
 
 
 def cycle_graph(n: int) -> SimpleGraph:
+    """The n-cycle; ``cycle_graph(2)`` repeats its edge, so the oracle refuses it."""
     return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
@@ -200,27 +203,18 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]], layout_cap: int) -> Ora
     the optima whose first vertex is smaller than their last, each emitted
     with its reversal, up to ``layout_cap``.
     """
-    # masks[v][k]: the neighbours joined to v by more than k parallel edges.
-    deg = [0] * n
-    masks: List[List[int]] = [[] for _ in range(n)]
-    for (u, v), m in Counter(pairs).items():
-        deg[u] += m
-        deg[v] += m
-        for a, b in ((u, v), (v, u)):
-            masks[a] += [0] * (m - len(masks[a]))
-            for k in range(m):
-                masks[a][k] |= 1 << b
+    adj = [0] * n  # cut(S | v) = cut(S) + |adj[v] - S - v| - |adj[v] & S|
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
 
     full = (1 << n) - 1
     h = [0] * (full + 1)  # cut[S] first, then overwritten by h[S]
     for s in range(1, full + 1):
         low = s & -s
-        v = low.bit_length() - 1
         rest = s ^ low
-        c = h[rest] + deg[v]
-        for mask in masks[v]:
-            c -= 2 * (mask & rest).bit_count()
-        h[s] = c
+        a = adj[low.bit_length() - 1]
+        h[s] = h[rest] + (a & ~s).bit_count() - (a & rest).bit_count()
     cnt = [0] * (full + 1)
     cnt[full] = 1
     for s in range(full - 1, -1, -1):
@@ -316,7 +310,7 @@ def _first_optima(n: int, h: List[int], cap: int) -> List[Layout]:
 
 def brute_force_ola(g, limit: int = 10, pruned: bool = True,
                     layout_cap: int = LAYOUT_CAP) -> OracleResult:
-    """Exact optimum of any small graph.
+    """Exact optimum of any small simple graph.
 
     The default path is the prefix-cut subset DP, O(2^n * n) time and about
     2 * 2^n list slots.  Only when layouts are listed does it hold one more
@@ -335,6 +329,9 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
 
     Raises TooLarge when n exceeds ``limit`` (default 10), and whatever
     ``limit`` says, when n exceeds ``_ORACLE_MAX_N``, before allocating.
+    Raises BadParam, after those checks and before allocating, when an edge
+    repeats in either orientation; trees and ``halin_from_tree``'s graphs
+    never repeat one.
     """
     n = g.n
     if layout_cap < 0:
@@ -343,8 +340,11 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
         raise TooLarge(f"n={n} exceeds oracle limit {limit}")
     if n > _ORACLE_MAX_N:
         raise TooLarge(f"n={n} exceeds the oracle's hard ceiling {_ORACLE_MAX_N}")
+    pairs = g.edges()
+    if len(set(map(frozenset, pairs))) < len(pairs):
+        raise BadParam("an edge repeats; the oracle takes simple graphs")
     if n <= 1:  # the scan's result: one layout, of cost 0
         return OracleResult(0, (Layout(tuple(range(n))),)[:layout_cap], 1, 1)
     if pruned:
-        return _subset_dp(n, g.edges(), layout_cap)
-    return _scan_all_permutations(n, g.edges(), layout_cap)
+        return _subset_dp(n, pairs, layout_cap)
+    return _scan_all_permutations(n, pairs, layout_cap)

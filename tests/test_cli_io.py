@@ -635,11 +635,14 @@ class TestCliPipeline:
         lay.write_bytes(serialize_layout(Layout(tuple(range(n)))))
         capsys.readouterr()
         head = "error: tree is not recursively balanced and too large for the oracle; "
+        fact = f"n={n} exceeds --limit 10"
         assert main(["bound", "-i", str(inst)]) == 1
-        assert capsys.readouterr() == ("", head + "pass --tree-opt or --oracle\n")
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", head + fact + "; pass --tree-opt\n")
+        assert "--oracle" not in out.err
         assert main(["verify", "-i", str(inst), "-l", str(lay)]) == 1
         out = capsys.readouterr()
-        assert (out.out, out.err) == ("", head + f"n={n} exceeds --limit 10\n")
+        assert (out.out, out.err) == ("", head + fact + "\n")
         assert "--tree-opt" not in out.err
 
     def test_rearrange_rejects_layout_without_equal_blocks(self, tmp_path, capsys):
