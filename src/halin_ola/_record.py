@@ -17,6 +17,8 @@ of the same class, and ``__match_args__``.  ``frozen=True`` adds
 record builds and compares as fast as a dataclass.  A fact derived from the
 fields is a ``functools.cached_property``: it writes the instance
 ``__dict__`` directly, so it works on frozen records and is not a field.
+``jsonable(rec)`` reads a record's fields, in order, into a dict keyed by
+their camelCase names.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def record(cls=None, *, frozen: bool = False):
     if cls is None:
         return lambda c: _build(c, frozen)
     return _build(cls, frozen)
+
+
+def jsonable(rec) -> dict:
+    """The fields of ``rec`` in declaration order, keyed by camelCase name."""
+    out = {}
+    for name in rec.__match_args__:
+        head, *rest = name.split("_")
+        out[head + "".join(map(str.capitalize, rest))] = getattr(rec, name)
+    return out
 
 
 def _frozen_setattr(self, name, value):

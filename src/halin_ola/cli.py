@@ -17,6 +17,7 @@ import re
 import sys
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from ._record import jsonable
 from .errors import (
     BadParam,
     HalinOlaError,
@@ -182,13 +183,7 @@ def _cmd_verify(args) -> int:
     layout = _load_layout(args.layout, h)
     tree_opt = _tree_optimum(h, args.oracle, args.limit)
     cert = certify(h, layout, tree_opt)
-    payload = {
-        "layoutCost": cert.layout_cost,
-        "lowerBound": cert.lower_bound,
-        "cycleCost": cert.cycle_cost,
-        "optimal": cert.optimal,
-        "reason": cert.reason,
-    }
+    payload = jsonable(cert)
     if args.oracle:
         true_opt = brute_force_ola(h, limit=args.limit, layout_cap=0).optimal_cost
         payload["oracleOptimum"] = true_opt

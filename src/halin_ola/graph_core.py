@@ -171,10 +171,18 @@ class HalinGraph:
     """A plane tree plus the cycle through its leaves in embedding order.
 
     The tree is the only field; the cycle is read off its embedding, so it
-    cannot disagree with the tree.  ``halin_from_tree`` checks the tree.
+    cannot disagree with the tree.  Every graph is simple.
+
+    Raises InvalidSubstrate, with its violations, when
+    ``validate_halin_substrate`` finds the tree is not a Halin substrate.
     """
 
     tree: EmbeddedTree
+
+    def __post_init__(self):
+        violations = validate_halin_substrate(self.tree)
+        if violations:
+            raise InvalidSubstrate(violations)
 
     @cached_property
     def cycle_order(self) -> Tuple[VertexId, ...]:
@@ -202,12 +210,5 @@ class HalinGraph:
 
 
 def halin_from_tree(tree: EmbeddedTree) -> HalinGraph:
-    """Close the leaves of a valid substrate tree into a Halin graph.
-
-    Raises InvalidSubstrate when ``validate_halin_substrate`` finds a
-    violation.
-    """
-    violations = validate_halin_substrate(tree)
-    if violations:
-        raise InvalidSubstrate(violations)
+    """Close the leaves of a substrate tree into a Halin graph: ``HalinGraph(tree)``."""
     return HalinGraph(tree)

@@ -52,7 +52,9 @@ def certify(h: HalinGraph, layout: Layout, tree_opt_cost: int) -> OlaCertificate
 
     ``optimal=True`` is a proof; ``optimal=False`` only means the bound was
     not attained — for some non-balanced instances no layout attains it, so
-    absence of the certificate does not prove sub-optimality.
+    absence of the certificate does not prove sub-optimality.  ``h`` is a
+    Halin graph, checked when it was built; a layout of another size raises
+    BadParam (from ``la_cost``).
     """
     report = la_cost(h, layout)
     bound = halin_lower_bound(h, tree_opt_cost)

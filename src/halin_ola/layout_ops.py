@@ -10,7 +10,7 @@ from functools import cached_property
 from typing import Iterable, Tuple, Union
 
 from ._record import record
-from .errors import NotContiguous, Overlapping
+from .errors import BadParam, NotContiguous, Overlapping
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 
 
@@ -61,12 +61,15 @@ def la_cost(g: GraphLike, layout: Layout) -> ArrangementReport:
 
     The tree part sums each vertex's distance to its parent; for a
     HalinGraph the cycle part sums the distances of consecutive cycle
-    leaves, and for a plain tree it is 0.
+    leaves, and for a plain tree it is 0.  Raises BadParam, before pricing,
+    when the layout's size is not the graph's.
 
     The layout keeps its last report, keyed by the graph object: both are
     immutable, so pricing the same pair again (a solver's bound check, then
     the CLI's cost line) computes nothing.
     """
+    if layout.n != g.n:
+        raise BadParam(f"layout has {layout.n} vertices, graph has {g.n}")
     last = layout.__dict__.get("_last_cost")
     if last is not None and last[0] is g:
         return last[1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._record import field, record
+from ._record import field, jsonable, record
 from .errors import HalinOlaError
 from .generators import GenSpec
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
@@ -211,23 +211,7 @@ class InstanceReport:
         )
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "optimalCost": self.optimal_cost,
-            "lowerBound": self.lower_bound,
-            "boundTight": self.bound_tight,
-            "optimaChecked": self.optima_checked,
-            "contiguityFailures": self.contiguity_failures,
-            "monotoneFailures": self.monotone_failures,
-            "branchFailures": self.branch_failures,
-            "branchVacuousPasses": self.branch_vacuous_passes,
-            "extremesViolations": self.extremes_violations,
-            "extremesRepaired": self.extremes_repaired,
-            "counterexamples": self.counterexamples,
-            "error": self.error,
-            "passed": self.passed,
-        }
+        return {**jsonable(self), "passed": self.passed}
 
 
 @record

@@ -330,8 +330,8 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
     Raises TooLarge when n exceeds ``limit`` (default 10), and whatever
     ``limit`` says, when n exceeds ``_ORACLE_MAX_N``, before allocating.
     Raises BadParam, after those checks and before allocating, when an edge
-    repeats in either orientation; trees and ``halin_from_tree``'s graphs
-    never repeat one.
+    repeats in either orientation; no ``EmbeddedTree`` or ``HalinGraph``
+    repeats one.
     """
     n = g.n
     if layout_cap < 0:

@@ -143,6 +143,20 @@ class TestSubstrateValidation:
         with pytest.raises(InvalidSubstrate):
             halin_from_tree(build_embedded_tree(0, {0: [1, 2]}))
 
+    @pytest.mark.parametrize("child_lists,violations", [
+        ({0: [1, 2]}, ["needs >= 3 leaves, has 2", "root has 2 children, needs >= 3"]),
+        ({0: [1]}, ["needs >= 3 leaves, has 1", "root has 1 children, needs >= 3"]),
+        ({}, ["needs >= 3 leaves, has 1", "root has 0 children, needs >= 3"]),
+        ({0: [1, 2, 3], 1: [4]}, ["internal vertex 1 has 1 child, needs >= 2"]),
+    ], ids=["two-leaf-star", "one-child-root", "one-vertex", "unary-internal"])
+    def test_halin_graph_checks_its_tree(self, child_lists, violations):
+        tree = build_embedded_tree(0, child_lists)
+        for build in (HalinGraph, halin_from_tree):
+            with pytest.raises(InvalidSubstrate) as raised:
+                build(tree)
+            assert raised.value.violations == violations
+            assert str(raised.value) == "; ".join(violations)
+
 
 class TestHalinGraph:
     def test_k4(self):

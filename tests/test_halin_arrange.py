@@ -13,8 +13,11 @@ import pytest
 import halin_ola
 
 from halin_ola import (
+    BadParam,
     EmbeddedTree,
+    HalinGraph,
     HalinOlaError,
+    InvalidSubstrate,
     Layout,
     NotContiguous,
     NotRecursivelyBalanced,
@@ -363,3 +366,12 @@ class TestCertify:
         assert cert.layout_cost == oracle.optimal_cost
         if not cert.optimal:
             assert cert.layout_cost > cert.lower_bound
+
+    def test_no_certificate_for_a_non_halin_graph_or_foreign_layout(self):
+        # layout (1, 0, 2) of the two-leaf star with its leaf pair doubled
+        # costs 6, which "meets" a bound of 6, while (0, 1, 2) costs 5
+        with pytest.raises(InvalidSubstrate):
+            certify(HalinGraph(build_embedded_tree(0, {0: [1, 2]})), Layout((1, 0, 2)), 2)
+        # a 5-vertex layout of the 4-vertex wheel would "meet" the bound 10
+        with pytest.raises(BadParam, match="layout has 5 vertices, graph has 4"):
+            certify(gen_wheel(3), Layout((4, 0, 1, 2, 3)), 4)

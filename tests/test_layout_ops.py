@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halin_ola import (
+    BadParam,
     Layout,
     NotContiguous,
     Overlapping,
@@ -71,6 +72,14 @@ class TestCost:
         report = la_cost(h, lay)
         assert (report.tree_cost, report.cycle_cost) == (6, 8)
         assert report.total_cost == 14 == la_total(h, lay)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (4, 0, 1, 2, 3)],
+                             ids=["shorter", "longer"])
+    @pytest.mark.parametrize("on_tree", [False, True], ids=["halin", "tree"])
+    def test_layout_of_another_size_refused(self, order, on_tree):
+        h = gen_wheel(3)
+        with pytest.raises(BadParam, match=f"layout has {len(order)} vertices, graph has 4"):
+            la_cost(h.tree if on_tree else h, Layout(order))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
