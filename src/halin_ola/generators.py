@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ._record import record
 from .errors import BadParam, TooLarge
-from .graph_core import HalinGraph, _collector_paused, build_embedded_tree, halin_from_tree
+from .graph_core import EmbeddedTree, HalinGraph, _collector_paused, halin_from_tree
 
 
 # The most vertices a generator builds: about 21 times the largest benchmark
@@ -44,7 +44,7 @@ def gen_wheel(spokes: int) -> HalinGraph:
     if spokes < 3:
         raise BadParam(f"wheel needs >= 3 spokes, got {spokes}")
     _check_size("wheel", spokes + 1)
-    return halin_from_tree(build_embedded_tree(0, {0: list(range(1, spokes + 1))}))
+    return halin_from_tree(EmbeddedTree(0, (tuple(range(1, spokes + 1)),) + ((),) * spokes))
 
 
 @_collector_paused()
@@ -69,20 +69,20 @@ def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
     _check_size("kary", n)
     # internal vertices take their children's ids in preorder; depths[i] is
     # the level of stack[i], the root's being 1
-    children: Dict[int, List[int]] = {}
+    children: List[Tuple[int, ...]] = [()] * n
     next_id = 1
     stack, depths = [0], [1]
     while stack:
         v = stack.pop()
         depth = depths.pop() + 1  # the level of v's children
         deg = k if v == 0 else c
-        kids = list(range(next_id, next_id + deg))
+        kids = tuple(range(next_id, next_id + deg))
         next_id += deg
         children[v] = kids
         if depth <= height:
             stack += kids[::-1]
             depths += [depth] * deg
-    return halin_from_tree(build_embedded_tree(0, children))
+    return halin_from_tree(EmbeddedTree(0, tuple(children)))
 
 
 @_collector_paused()
@@ -113,25 +113,24 @@ def gen_caterpillar_halin(spine_len: int, leaves_per_spine: Sequence[int]) -> Ha
                 raise BadParam(
                     f"spine vertex {i} needs >= {need} leaves, got {cnt}"
                 )
-    _check_size("caterpillar", spine_len + sum(leaves))
+    n = spine_len + sum(leaves)
+    _check_size("caterpillar", n)
 
-    children: Dict[int, List[int]] = {}
+    children: List[Tuple[int, ...]] = [()] * n
     next_id = spine_len
     for i in range(spine_len):
-        kids = []
         # embedding: leaves first, then the next spine vertex, except the
         # root which splits its leaves around the spine to keep the
         # leaf cycle planar.
-        pendant = list(range(next_id, next_id + leaves[i]))
+        pendant = tuple(range(next_id, next_id + leaves[i]))
         next_id += leaves[i]
         if i == 0 and spine_len > 1:
-            kids = pendant[:1] + [i + 1] + pendant[1:]
+            children[i] = pendant[:1] + (i + 1,) + pendant[1:]
         elif i < spine_len - 1:
-            kids = pendant + [i + 1]
+            children[i] = pendant + (i + 1,)
         else:
-            kids = pendant
-        children[i] = kids
-    return halin_from_tree(build_embedded_tree(0, children))
+            children[i] = pendant
+    return halin_from_tree(EmbeddedTree(0, tuple(children)))
 
 
 @_collector_paused()
@@ -147,20 +146,19 @@ def gen_random_halin(n_target: int, seed: int) -> HalinGraph:
         raise BadParam(f"n_target must be >= 4, got {n_target}")
     _check_size("random", n_target + 2)  # the last step may overshoot by 2
     rng = random.Random(seed)
-    children: Dict[int, List[int]] = {0: [1, 2, 3]}
+    children: List[Tuple[int, ...]] = [(1, 2, 3), (), (), ()]
     leaves = [1, 2, 3]
-    next_id = 4
     n = 4
     while n < n_target:
         idx = rng.randrange(len(leaves))
         v = leaves.pop(idx)
         deg = rng.choice([2, 3])
-        kids = list(range(next_id, next_id + deg))
-        next_id += deg
+        kids = tuple(range(n, n + deg))
         children[v] = kids
+        children += [()] * deg
         leaves.extend(kids)
         n += deg
-    return halin_from_tree(build_embedded_tree(0, children))
+    return halin_from_tree(EmbeddedTree(0, tuple(children)))
 
 
 def generate(spec: GenSpec) -> HalinGraph:
@@ -211,13 +209,18 @@ def all_caterpillar_halins_up_to(n_max: int) -> List[Tuple[GenSpec, HalinGraph]]
     return out
 
 
-def standard_corpus(n_random: int = 50) -> List[Tuple[GenSpec, HalinGraph]]:
+# random instances in the standard corpus
+_CORPUS_RANDOMS = 50
+
+
+def standard_corpus() -> List[Tuple[GenSpec, HalinGraph]]:
     """The evaluation corpus: wheels 3-8, all caterpillars n<=9, random n<=9.
 
-    The ``n_random`` random instances have target size 7 and seeds 1000 on.
+    The ``_CORPUS_RANDOMS`` random instances have target size 7 and seeds
+    1000 on.
     """
     wheels = [GenSpec("wheel", (("spokes", s),)) for s in range(3, 9)]
-    randoms = [GenSpec("random", (("n", 7),), seed=1000 + i) for i in range(n_random)]
+    randoms = [GenSpec("random", (("n", 7),), seed=1000 + i) for i in range(_CORPUS_RANDOMS)]
     return ([(spec, generate(spec)) for spec in wheels]
             + all_caterpillar_halins_up_to(9)
             + [(spec, generate(spec)) for spec in randoms])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import record
@@ -24,16 +24,53 @@ VertexId = int
 class EmbeddedTree:
     """Rooted tree with ordered (= plane-embedded) child lists.
 
-    Immutable; safe for concurrent reads.  The preorder in embedding order,
-    the subtree sizes and the heights are cached properties, computed on
-    first read and not in ``==``, ``hash`` or ``repr``.  From Python 3.12
+    ``children[v]`` lists v's children in embedding order; n is its length.
+    Construction checks that the lists make one tree on 0..n-1.  It raises
+    DisconnectedInput for n = 0 or a root outside 0..n-1; then, scanning the
+    lists by vertex id, for the first faulty child: DisconnectedInput when
+    outside 0..n-1, CycleDetected when it is its own parent or the root,
+    DuplicateChild when repeated or given a second parent; last,
+    DisconnectedInput when the root does not reach every vertex.  So the
+    fault named is the one under the smallest vertex id.
+
+    ``parent`` (None at the root), derived by that scan, the preorder in
+    embedding order, the subtree sizes and the heights are not fields: each
+    is computed once, kept on the instance and left out of ``==``, ``hash``
+    and ``repr``.  Immutable; safe for concurrent reads.  From Python 3.12
     ``cached_property`` takes no lock: two threads reading a fact first may
     both compute it, and both get the same value.
     """
 
     root: VertexId
     children: Tuple[Tuple[VertexId, ...], ...]
-    parent: Tuple[Optional[VertexId], ...]
+
+    def __post_init__(self):
+        root, children = self.root, self.children
+        n = len(children)
+        if not n:
+            raise DisconnectedInput("a tree needs at least one vertex")
+        if not 0 <= root < n:
+            raise DisconnectedInput(f"root {root} is outside 0..{n - 1}")
+        parent: List[Optional[VertexId]] = [None] * n
+        for v in compress(range(n), children):  # the vertices with children
+            for c in children[v]:
+                if not 0 <= c < n:
+                    raise DisconnectedInput(f"child {c} of vertex {v} is outside 0..{n - 1}")
+                if c == v:
+                    raise CycleDetected(f"vertex {v} is its own child")
+                if c == root:
+                    raise CycleDetected(f"the root cannot be a child of {v}")
+                if parent[c] is not None:
+                    if parent[c] == v:
+                        raise DuplicateChild(f"vertex {v} lists child {c} twice")
+                    raise DuplicateChild(f"vertex {c} has two parents")
+                parent[c] = v
+        # with one parent per vertex and the root nobody's child, the preorder
+        # walk visits each vertex at most once; reaching all n doubles as the
+        # acyclicity check given n-1 parent links
+        if len(self._preorder) != n:
+            raise DisconnectedInput("child lists do not connect every vertex to the root")
+        self.__dict__["parent"] = tuple(parent)
 
     @cached_property
     def _preorder(self) -> Tuple[VertexId, ...]:
@@ -102,16 +139,13 @@ def _collector_paused() -> Iterator[None]:
 def build_embedded_tree(
     root: VertexId, child_lists: Mapping[VertexId, Sequence[VertexId]]
 ) -> EmbeddedTree:
-    """Assemble an EmbeddedTree from per-vertex ordered child lists.
+    """Assemble an EmbeddedTree from a map of per-vertex ordered child lists.
 
-    Vertex ids must cover exactly 0..n-1.  Child order is preserved verbatim
-    (it is the planar embedding).
-
-    Raises:
-        DuplicateChild: a vertex appears twice as a child.
-        CycleDetected: the parent relation is cyclic (includes re-rooting
-            the root under a descendant).
-        DisconnectedInput: some vertex is unreachable from the root.
+    The ids the root, the keys and the lists mention must be exactly 0..n-1;
+    a vertex that is not a key is a leaf.  Child order is preserved verbatim
+    (it is the planar embedding).  Raises DisconnectedInput, naming every
+    mentioned id, when the ids are not contiguous; the structural checks,
+    and the vertex-id order they name faults in, are ``EmbeddedTree``'s.
     """
     kids = chain.from_iterable(child_lists.values())
     mentioned = set(chain((root,), child_lists, kids))
@@ -120,29 +154,10 @@ def build_embedded_tree(
         raise DisconnectedInput(
             f"vertex ids must be the contiguous range 0..{n - 1}, got {sorted(mentioned)}"
         )
-
     children: List[Tuple[VertexId, ...]] = [()] * n
-    parent: List[Optional[VertexId]] = [None] * n
     for v, cs in child_lists.items():
         children[v] = tuple(cs)
-        for c in cs:
-            if c == v:
-                raise CycleDetected(f"vertex {v} is its own child")
-            if c == root:
-                raise CycleDetected(f"the root cannot be a child of {v}")
-            if parent[c] is not None:
-                if parent[c] == v:
-                    raise DuplicateChild(f"vertex {v} lists child {c} twice")
-                raise DuplicateChild(f"vertex {c} has two parents")
-            parent[c] = v
-
-    # with one parent per vertex and the root nobody's child, the preorder
-    # walk visits each vertex at most once; reaching all n doubles as the
-    # acyclicity check given n-1 parent links
-    tree = EmbeddedTree(root=root, children=tuple(children), parent=tuple(parent))
-    if len(tree._preorder) != n:
-        raise DisconnectedInput("child lists do not connect every vertex to the root")
-    return tree
+    return EmbeddedTree(root, tuple(children))
 
 
 def validate_halin_substrate(tree: EmbeddedTree) -> List[str]:

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from ._record import record
 from .errors import HalinOlaError, NotContiguous, NotRecursivelyBalanced, NotTreeOptimalInput
 from .graph_core import EmbeddedTree, HalinGraph, VertexId, _collector_paused
-from .layout_ops import Layout, la_cost, la_total, reverse_block, sigma_swap
+from .layout_ops import Layout, _check_same_size, la_cost, la_total, reverse_block, sigma_swap
 from .tree_ola import _balanced_layout, rbt_ola
 
 
@@ -317,10 +317,12 @@ def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
     exchanges.  Useful for producing inputs whose rearrangement trace is
     non-trivial.
 
-    Raises NotContiguous when ``layout`` is not block-structured.  Neither
-    balance nor cost is checked first, so each of the walk's refusals is
-    reachable here.
+    Raises BadParam, before the walk, when the layout's size is not the
+    tree's, and NotContiguous when ``layout`` is not block-structured.
+    Neither balance nor cost is checked first, so each of the walk's
+    refusals is reachable here.
     """
+    _check_same_size(tree, layout)
     rng = random.Random(seed)
 
     def fisher_yates(v: VertexId, occupants: List[VertexId]):

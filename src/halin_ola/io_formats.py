@@ -78,7 +78,8 @@ def parse_instance(data: bytes) -> HalinGraph:
 
     Unknown fields are rejected.  The cyclic garbage collector is off while
     the file is decoded and the graph built, and left as the caller had it.
-    Raises ParseError, SchemaVersionUnsupported, or InvalidSubstrate.
+    Raises ParseError, SchemaVersionUnsupported, what ``build_embedded_tree``
+    raises (structural faults named in vertex-id order), or InvalidSubstrate.
     """
     with _collector_paused():
         doc = _load_json(data)

@@ -7,7 +7,7 @@ operation returns a fresh layout.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Tuple, Union
+from typing import AbstractSet, Iterable, Tuple, Union
 
 from ._record import record
 from .errors import BadParam, NotContiguous, Overlapping
@@ -68,8 +68,7 @@ def la_cost(g: GraphLike, layout: Layout) -> ArrangementReport:
     immutable, so pricing the same pair again (a solver's bound check, then
     the CLI's cost line) computes nothing.
     """
-    if layout.n != g.n:
-        raise BadParam(f"layout has {layout.n} vertices, graph has {g.n}")
+    _check_same_size(g, layout)
     last = layout.__dict__.get("_last_cost")
     if last is not None and last[0] is g:
         return last[1]
@@ -91,7 +90,15 @@ def la_total(g: GraphLike, layout: Layout) -> int:
     return la_cost(g, layout).total_cost
 
 
-def _contiguous_range(layout: Layout, block: Iterable[VertexId]) -> Tuple[int, int]:
+def _check_same_size(g: GraphLike, layout: Layout) -> None:
+    if layout.n != g.n:
+        raise BadParam(f"layout has {layout.n} vertices, graph has {g.n}")
+
+
+def _contiguous_range(layout: Layout, block: AbstractSet[VertexId]) -> Tuple[int, int]:
+    outside = sorted(v for v in block if not 0 <= v < layout.n)
+    if outside:
+        raise BadParam(f"block vertices {outside} are outside 0..{layout.n - 1}")
     pos = layout.positions
     ps = sorted(pos[v] for v in block)
     if not ps:
@@ -108,6 +115,8 @@ def sigma_swap(layout: Layout, block_a: Iterable[VertexId],
     Blocks may differ in size: the vertices between them shift by the size
     difference.  After the swap the (originally) later block starts where the
     earlier one did, and the earlier block ends where the later one did.
+    Raises BadParam for a block vertex outside 0..n-1, NotContiguous for an
+    empty or scattered block, and Overlapping for blocks that meet.
     """
     a = set(block_a)
     b = set(block_b)
@@ -129,7 +138,8 @@ def sigma_swap(layout: Layout, block_a: Iterable[VertexId],
 
 
 def reverse_block(layout: Layout, block: Iterable[VertexId]) -> Layout:
-    """Reverse the inner order of one contiguous position block."""
+    """Reverse the inner order of one contiguous position block (raises as
+    ``sigma_swap`` does for a bad block)."""
     lo, hi = _contiguous_range(layout, set(block))
     order = list(layout.vertex_at)
     order[lo - 1:hi] = reversed(order[lo - 1:hi])

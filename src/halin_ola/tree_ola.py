@@ -1,10 +1,10 @@
 """Exact tree arrangement machinery.
 
-Contains the tree centroid, recursive-balance detection, the linear-time
-optimal arrangement for recursively balanced trees, and the exact oracle
-used to certify everything else at small sizes: a dynamic program over
-prefix sets (a layout costs the sum of its prefix cuts), cross-checked by
-a plain scan of all permutations.
+Contains recursive-balance detection, the linear-time optimal
+arrangement for recursively balanced trees, and the exact oracle used to
+certify everything else at small sizes: a dynamic program over prefix sets
+(a layout costs the sum of its prefix cuts), cross-checked by a plain scan
+of all permutations.
 """
 
 from __future__ import annotations

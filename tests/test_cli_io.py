@@ -129,8 +129,10 @@ def _children_bytes(children, root=0) -> bytes:
 class TestParseErrorMessages:
     """Every parse and tree-build error: its class and its exact message.
 
-    The child map is checked key by key in file order, so the first offender
-    is the one named, whichever check it fails.
+    The child map's keys and value shapes are checked key by key in file
+    order, so the first offender in the file is the one named, whichever
+    check it fails.  Structural faults are named in vertex-id order: the
+    tree's check scans the child lists by vertex id, whatever the file order.
     """
 
     CASES = {
@@ -162,6 +164,8 @@ class TestParseErrorMessages:
                             "vertex 2 has two parents"),
         "unreachable": ({"0": [1, 2, 3], "4": [5, 6], "5": [4]}, DisconnectedInput,
                         "child lists do not connect every vertex to the root"),
+        "id-order-wins": ({"0": [1, 2, 3], "2": [4, 0], "1": [1, 5]}, CycleDetected,
+                          "vertex 1 is its own child"),
         "substrate": ({"0": [1, 2]}, InvalidSubstrate,
                       "needs >= 3 leaves, has 2; root has 2 children, needs >= 3"),
         "substrate-inner": ({"0": [1, 2, 3], "1": [4], "2": [5, 6]}, InvalidSubstrate,

@@ -32,7 +32,7 @@ from halin_ola import (
     serialize_instance,
     standard_corpus,
 )
-from halin_ola import generators, halin_arrange, io_formats, tree_ola
+from halin_ola import generators, graph_core, halin_arrange, tree_ola
 
 KARY = GenSpec("kary", (("k", 3), ("c", 2), ("h", 3)))
 WHEEL_BYTES = serialize_instance(gen_wheel(5))
@@ -87,9 +87,11 @@ def test_builders_restore_collector_state(case, collector_on, monkeypatch):
             return real(*args)
         return call
 
-    spy_tree = spy(io_formats.build_embedded_tree)
-    monkeypatch.setattr(io_formats, "build_embedded_tree", spy_tree)
-    monkeypatch.setattr(generators, "build_embedded_tree", spy_tree)
+    # the parser builds through graph_core.build_embedded_tree, the
+    # generators call EmbeddedTree themselves
+    spy_tree = spy(graph_core.EmbeddedTree)
+    monkeypatch.setattr(graph_core, "EmbeddedTree", spy_tree)
+    monkeypatch.setattr(generators, "EmbeddedTree", spy_tree)
     monkeypatch.setattr(tree_ola, "Layout", spy(tree_ola.Layout))
     real_walk = halin_arrange._walk
     monkeypatch.setattr(halin_arrange, "_walk",
@@ -123,7 +125,8 @@ CALLS = {
     "oracle-cap-0": lambda: brute_force_ola(cycle_graph(10), layout_cap=0),
     "oracle-cap-1": lambda: brute_force_ola(cycle_graph(10), layout_cap=1),
     "oracle-all": lambda: brute_force_ola(cycle_graph(10)),
-    "run_suite": lambda: run_suite(standard_corpus(n_random=5)),
+    # the corpus with its first 5 random instances only
+    "run_suite": lambda: run_suite(standard_corpus()[:-45]),
     "rbt_ola": lambda: rbt_ola(H.tree),
     "direct_rbt_halin_ola": lambda: direct_rbt_halin_ola(H),
     "scramble_tree_ola": lambda: scramble_tree_ola(H.tree, SCRAMBLED, seed=1),

@@ -6,13 +6,17 @@ from halin_ola import (
     CycleDetected,
     DisconnectedInput,
     DuplicateChild,
+    EmbeddedTree,
     HalinGraph,
     InvalidSubstrate,
+    Layout,
     SimpleGraph,
     build_embedded_tree,
     cycle_graph,
+    gen_kary_rbt_halin,
     gen_random_halin,
     halin_from_tree,
+    la_cost,
     validate_halin_substrate,
 )
 
@@ -125,6 +129,62 @@ class TestBuildEmbeddedTree:
         # 3 is mentioned as a parent key but never reachable from 0
         with pytest.raises((DisconnectedInput, CycleDetected)):
             build_embedded_tree(0, {0: [1, 2], 3: [4], 4: [3]})
+
+
+class TestEmbeddedTreeChecks:
+    # (root, children, error, message): hand-built trees that the constructor
+    # refuses, before any cached fact is read
+    REFUSED = {
+        # edge (0, 1) twice, and a (1, 1) loop in the leaf cycle
+        "child-twice": (0, ((1, 2, 3, 1), (), (), ()), DuplicateChild,
+                        "vertex 0 lists child 1 twice"),
+        # a HalinGraph over it would walk the leaf cycle forever
+        "root-under-child": (0, ((1, 2, 3), (4, 5, 0), (), (), (), ()), CycleDetected,
+                             "the root cannot be a child of 1"),
+        "cycle-off-root": (0, ((1, 2, 3), (), (), (), (5,), (4,)), DisconnectedInput,
+                           "child lists do not connect every vertex to the root"),
+        "self-child": (0, ((1, 2, 3), (1,), (), ()), CycleDetected,
+                       "vertex 1 is its own child"),
+        "negative-child": (0, ((1, 2, -1), (), (), ()), DisconnectedInput,
+                           "child -1 of vertex 0 is outside 0..3"),
+        "child-too-large": (0, ((1, 2, 4), (), (), ()), DisconnectedInput,
+                            "child 4 of vertex 0 is outside 0..3"),
+        "root-out-of-range": (4, ((1, 2, 3), (), (), ()), DisconnectedInput,
+                              "root 4 is outside 0..3"),
+        "no-vertex": (0, (), DisconnectedInput, "a tree needs at least one vertex"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_at_construction(self, case):
+        root, children, error, message = self.REFUSED[case]
+        with pytest.raises(error) as raised:
+            EmbeddedTree(root, children)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    def test_parent_is_derived_not_passed(self):
+        # a parent array that disagrees with the child lists cannot be given
+        children = ((1, 2, 3), (), (), ())
+        with pytest.raises(TypeError):
+            EmbeddedTree(0, children, (None, 0, 0, 2))
+        with pytest.raises(TypeError):
+            EmbeddedTree(root=0, children=children, parent=(None, 0, 0, 2))
+        tree = EmbeddedTree(0, children)
+        assert tree.parent == (None, 0, 0, 0)
+        assert la_cost(tree, Layout((0, 1, 2, 3))).tree_cost == 6
+
+    def test_parent_not_compared_nor_shown(self):
+        a, b = star(3), star(3)
+        object.__setattr__(b, "parent", ())
+        assert a == b and hash(a) == hash(b)
+        assert "parent" not in repr(a)
+
+    def test_parent_matches_the_child_lists(self, corpus):
+        graphs = [h for _spec, h in corpus]
+        graphs += [gen_kary_rbt_halin(3, 2, 14), gen_random_halin(49150, 1)]
+        for h in graphs:
+            children = h.tree.children
+            parent_of = {c: v for v, cs in enumerate(children) for c in cs}
+            assert h.tree.parent == tuple(map(parent_of.get, range(len(children))))
 
 
 class TestSubstrateValidation:

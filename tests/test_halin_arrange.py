@@ -252,6 +252,13 @@ class TestScramble:
             h.tree, base, seed=7
         )
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 1, 2, 3, 4, 5, 6)],
+                             ids=["shorter", "longer"])
+    def test_layout_of_another_size_refused(self, order):
+        # unchecked, the walk would return a layout that is not of the tree
+        with pytest.raises(BadParam, match=f"layout has {len(order)} vertices, graph has 4"):
+            scramble_tree_ola(gen_wheel(3).tree, Layout(order), seed=1)
+
     @pytest.mark.parametrize("tree, order, message", [
         (gen_kary_rbt_halin(3, 2, 2).tree, (0, 1, 5, 6, 3, 7, 4, 8, 2, 9),
          "child blocks interleave under 0"),

@@ -136,6 +136,16 @@ class TestBlockOps:
         with pytest.raises(Overlapping):
             sigma_swap(Layout(tuple(range(5))), [0, 1], [1, 2])
 
+    @pytest.mark.parametrize("vertex", [-1, 5])
+    def test_block_vertex_outside_the_layout_rejected(self, vertex):
+        # unchecked, -1 would be read as the last vertex and 5 would end in
+        # an IndexError
+        message = rf"block vertices \[{vertex}\] are outside 0..2"
+        with pytest.raises(BadParam, match=message):
+            sigma_swap(Layout((0, 1, 2)), [vertex], [1])
+        with pytest.raises(BadParam, match=message):
+            reverse_block(Layout((0, 1, 2)), [vertex, 0])
+
     def test_reverse_block(self):
         out = reverse_block(Layout(tuple(range(5))), [1, 2, 3])
         assert out.vertex_at == (0, 3, 2, 1, 4)

@@ -38,15 +38,14 @@ STAR = build_embedded_tree(0, {0: [1, 2, 3]})
 #  in one compared field, repr of the first, frozen)
 RECORDS = [
     (EmbeddedTree,
-     dict(root=0, children=((1, 2, 3), (), (), ()), parent=(None, 0, 0, 0)),
-     dict(root=0, children=((1, 3, 2), (), (), ()), parent=(None, 0, 0, 0)),
-     "EmbeddedTree(root=0, children=((1, 2, 3), (), (), ()), parent=(None, 0, 0, 0))",
+     dict(root=0, children=((1, 2, 3), (), (), ())),
+     dict(root=0, children=((1, 3, 2), (), (), ())),
+     "EmbeddedTree(root=0, children=((1, 2, 3), (), (), ()))",
      True),
     (HalinGraph,
      dict(tree=STAR),
      dict(tree=build_embedded_tree(0, {0: [3, 2, 1]})),
-     "HalinGraph(tree=EmbeddedTree(root=0, children=((1, 2, 3), (), (), ()), "
-     "parent=(None, 0, 0, 0)))",
+     "HalinGraph(tree=EmbeddedTree(root=0, children=((1, 2, 3), (), (), ())))",
      True),
     (GenSpec,
      dict(family="random", params=(("n", 9),), seed=4),
@@ -174,7 +173,7 @@ def test_preorder_not_compared_nor_shown():
     assert a == b and hash(a) == hash(b)
     assert "_preorder" not in repr(a)
     with pytest.raises(TypeError):
-        EmbeddedTree(root=0, children=((),), parent=(None,), _preorder=(0,))
+        EmbeddedTree(root=0, children=((),), _preorder=(0,))
     with pytest.raises(AttributeError):
         a._preorder = ()
 
