@@ -1,6 +1,7 @@
 """Seeded, deterministic instance factories for Halin graph families.
 
-The four ``gen_*`` factories run with the cyclic collector paused.
+The four ``gen_*`` factories run with the cyclic collector paused.  Each
+raises BadParam for a size parameter that is not an ``int`` or is a bool.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ from .graph_core import EmbeddedTree, HalinGraph, _collector_paused, halin_from_
 # instance.  Each generator checks its n (random: the most it can reach) after
 # validating its parameters and before it allocates anything.
 MAX_GEN_N = 1 << 20
+
+
+def _check_ints(**params: int) -> None:
+    # bool is an int subclass, so the test is on the exact type
+    for name, value in params.items():
+        if type(value) is not int:
+            raise BadParam(f"{name} must be an int, got {value!r}")
 
 
 def _check_size(family: str, n: int) -> None:
@@ -41,6 +49,7 @@ class GenSpec:
 @_collector_paused()
 def gen_wheel(spokes: int) -> HalinGraph:
     """Wheel: a star hub plus the cycle through its ``spokes`` leaves."""
+    _check_ints(spokes=spokes)
     if spokes < 3:
         raise BadParam(f"wheel needs >= 3 spokes, got {spokes}")
     _check_size("wheel", spokes + 1)
@@ -54,6 +63,7 @@ def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
     ``height`` counts levels below the root; height 1 is the star K_{1,k}.
     n = 1 + k(1 + c + ... + c^(height-1)).
     """
+    _check_ints(k=k, c=c, height=height)
     if k < 3:
         raise BadParam(f"root degree must be >= 3, got {k}")
     if c < 2:
@@ -95,9 +105,11 @@ def gen_caterpillar_halin(spine_len: int, leaves_per_spine: Sequence[int]) -> Ha
     need >= 1 (so every internal vertex keeps degree >= 3 in the Halin
     graph).
     """
+    _check_ints(spine_len=spine_len)
     if spine_len < 1:
         raise BadParam(f"spine length must be >= 1, got {spine_len}")
     leaves = list(leaves_per_spine)
+    _check_ints(**{f"leaves_per_spine[{i}]": cnt for i, cnt in enumerate(leaves)})
     if len(leaves) != spine_len:
         raise BadParam(
             f"need one leaf count per spine vertex: {spine_len} != {len(leaves)}"
@@ -142,6 +154,7 @@ def gen_random_halin(n_target: int, seed: int) -> HalinGraph:
     overshoot by up to 2).  Identical (n_target, seed) pairs produce
     identical instances.
     """
+    _check_ints(n_target=n_target)
     if n_target < 4:
         raise BadParam(f"n_target must be >= 4, got {n_target}")
     _check_size("random", n_target + 2)  # the last step may overshoot by 2

@@ -11,11 +11,12 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import record
-from .errors import CycleDetected, DisconnectedInput, DuplicateChild, InvalidSubstrate
+from .errors import (BadParam, CycleDetected, DisconnectedInput, DuplicateChild,
+                     InvalidSubstrate)
 
 VertexId = int
 
@@ -25,11 +26,13 @@ class EmbeddedTree:
     """Rooted tree with ordered (= plane-embedded) child lists.
 
     ``children[v]`` lists v's children in embedding order; n is its length.
-    Construction checks that the lists make one tree on 0..n-1.  It raises
-    DisconnectedInput for n = 0 or a root outside 0..n-1; then, scanning the
-    lists by vertex id, for the first faulty child: DisconnectedInput when
-    outside 0..n-1, CycleDetected when it is its own parent or the root,
-    DuplicateChild when repeated or given a second parent; last,
+    Construction checks that the lists make one tree on 0..n-1.  The root
+    and every child must be an ``int`` that is not a bool, and ``children``
+    a tuple of tuples; BadParam otherwise.  It raises DisconnectedInput for
+    n = 0 or a root outside 0..n-1; then, scanning the lists by vertex id,
+    for the first faulty child: BadParam when not an int, DisconnectedInput
+    when outside 0..n-1, CycleDetected when it is its own parent or the
+    root, DuplicateChild when repeated or given a second parent; last,
     DisconnectedInput when the root does not reach every vertex.  So the
     fault named is the one under the smallest vertex id.
 
@@ -46,6 +49,11 @@ class EmbeddedTree:
 
     def __post_init__(self):
         root, children = self.root, self.children
+        # bool is an int subclass, so the tests are on the exact type
+        if type(children) is not tuple or not set(map(type, children)) <= {tuple}:
+            raise BadParam("children must be a tuple of tuples")
+        if type(root) is not int:
+            raise BadParam(f"root {root!r} is not an int")
         n = len(children)
         if not n:
             raise DisconnectedInput("a tree needs at least one vertex")
@@ -54,6 +62,8 @@ class EmbeddedTree:
         parent: List[Optional[VertexId]] = [None] * n
         for v in compress(range(n), children):  # the vertices with children
             for c in children[v]:
+                if type(c) is not int:
+                    raise BadParam(f"child {c!r} of vertex {v} is not an int")
                 if not 0 <= c < n:
                     raise DisconnectedInput(f"child {c} of vertex {v} is outside 0..{n - 1}")
                 if c == v:
@@ -141,21 +151,18 @@ def build_embedded_tree(
 ) -> EmbeddedTree:
     """Assemble an EmbeddedTree from a map of per-vertex ordered child lists.
 
-    The ids the root, the keys and the lists mention must be exactly 0..n-1;
-    a vertex that is not a key is a leaf.  Child order is preserved verbatim
-    (it is the planar embedding).  Raises DisconnectedInput, naming every
-    mentioned id, when the ids are not contiguous; the structural checks,
-    and the vertex-id order they name faults in, are ``EmbeddedTree``'s.
+    A tree on n vertices lists n - 1 children, so n is 1 + the number of
+    listed children; a vertex that is not a key is a leaf.  Child order is
+    preserved verbatim (it is the planar embedding).  Raises
+    DisconnectedInput for a key outside 0..n-1; every other check, and the
+    vertex-id order it names faults in, is ``EmbeddedTree``'s, which then
+    proves that each of 0..n-1 occurs once.
     """
-    kids = chain.from_iterable(child_lists.values())
-    mentioned = set(chain((root,), child_lists, kids))
-    n = len(mentioned)
-    if not mentioned.issuperset(range(n)):
-        raise DisconnectedInput(
-            f"vertex ids must be the contiguous range 0..{n - 1}, got {sorted(mentioned)}"
-        )
+    n = 1 + sum(map(len, child_lists.values()))
     children: List[Tuple[VertexId, ...]] = [()] * n
     for v, cs in child_lists.items():
+        if not 0 <= v < n:
+            raise DisconnectedInput(f"child-map key {v} is outside 0..{n - 1}")
         children[v] = tuple(cs)
     return EmbeddedTree(root, tuple(children))
 

@@ -76,9 +76,12 @@ def _check_fields(doc: dict, allowed: set, where: str):
 def parse_instance(data: bytes) -> HalinGraph:
     """Parse an instance file into a validated Halin graph.
 
-    Unknown fields are rejected.  The cyclic garbage collector is off while
-    the file is decoded and the graph built, and left as the caller had it.
-    Raises ParseError, SchemaVersionUnsupported, what ``build_embedded_tree``
+    Unknown fields are rejected, and the root, the child-map keys and the
+    children must be JSON integers (ParseError).  The tree's n is 1 + the
+    number of listed children, and a root, key or child outside 0..n-1 is
+    refused.  The cyclic garbage collector is off while the file
+    is decoded and the graph built, and left as the caller had it.  Raises
+    ParseError, SchemaVersionUnsupported, what ``build_embedded_tree``
     raises (structural faults named in vertex-id order), or InvalidSubstrate.
     """
     with _collector_paused():

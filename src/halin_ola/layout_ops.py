@@ -18,17 +18,21 @@ from .graph_core import EmbeddedTree, HalinGraph, VertexId
 class Layout:
     """Bijection between vertices 0..n-1 and positions 1..n.
 
-    ``vertex_at[i]`` is the vertex at position i+1.
+    ``vertex_at[i]`` is the vertex at position i+1.  Raises ValueError
+    unless it holds each of 0..n-1 once, every entry an ``int`` that is not
+    a bool.
     """
 
     vertex_at: Tuple[VertexId, ...]
 
     def __post_init__(self):
-        # n distinct entries that include all of 0..n-1 are exactly those
-        # ids, the verdict of comparing the sorted tuple with range(n)
-        ids = set(self.vertex_at)
-        if len(ids) != len(self.vertex_at) or not ids.issuperset(range(len(ids))):
-            raise ValueError("vertex_at must be a permutation of 0..n-1")
+        # n distinct ints in 0..n-1 are exactly 0..n-1; one pass checks it
+        n = len(self.vertex_at)
+        free = [True] * n
+        for v in self.vertex_at:
+            if type(v) is not int or not 0 <= v < n or not free[v]:
+                raise ValueError("vertex_at must be a permutation of 0..n-1")
+            free[v] = False
 
     @property
     def n(self) -> int:

@@ -27,14 +27,19 @@ _ORACLE_MAX_N = 20
 class SimpleGraph:
     """Minimal edge-list graph for oracle runs on non-Halin instances.
 
-    A self-loop is refused here, a repeated edge by ``brute_force_ola``.
+    ``n`` and every endpoint must be an ``int`` that is not a bool.  A
+    self-loop is refused here, a repeated edge by ``brute_force_ola``.
     """
 
     n: int
     edge_pairs: Tuple[Tuple[VertexId, VertexId], ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"n {self.n!r} is not an int")
         for u, v in self.edge_pairs:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError("self-loop")
             if not (0 <= u < self.n and 0 <= v < self.n):

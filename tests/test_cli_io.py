@@ -81,6 +81,25 @@ class TestInstanceFormat:
         with pytest.raises(InvalidSubstrate):
             parse_instance(data)
 
+    # tracemalloc peak in bytes of parsing the kary(3,2,10) file (n = 3,070),
+    # measured on CPython 3.11.7 while the tree build still collected every
+    # mentioned id into a set to prove them contiguous
+    _ID_SET_PARSE_PEAK = 757_091
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="peaks pinned on CPython 3.11")
+    def test_parse_peak(self):
+        # the id set's table alone took 128 KiB; peaks drift by a few
+        # hundred bytes between runs
+        data = serialize_instance(gen_kary_rbt_halin(3, 2, 10))
+        tracemalloc.start()
+        try:
+            parse_instance(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self._ID_SET_PARSE_PEAK - 64 * 1024
+
 
 def _instance_bytes(tree=None, version=1) -> bytes:
     tree = {"root": 0, "children": {"0": [1, 2, 3]}} if tree is None else tree
@@ -151,7 +170,11 @@ class TestParseErrorMessages:
         "first-key-wins": ({"y": [4], "0": [1, 2, "3"]}, ParseError,
                            "child-map key 'y' is not an integer"),
         "range": ({"0": [1, 2, 5]}, DisconnectedInput,
-                  "vertex ids must be the contiguous range 0..3, got [0, 1, 2, 5]"),
+                  "child 5 of vertex 0 is outside 0..3"),
+        "key-beyond": ({"0": [1, 2, 3], "9": []}, DisconnectedInput,
+                       "child-map key 9 is outside 0..3"),
+        "negative-key": ({"0": [1, 2, 3], "-1": []}, DisconnectedInput,
+                         "child-map key -1 is outside 0..3"),
         "self-child": ({"0": [1, 2, 3], "1": [1, 4]}, CycleDetected,
                        "vertex 1 is its own child"),
         "root-as-child": ({"0": [1, 2, 3], "1": [4, 0]}, CycleDetected,
@@ -193,6 +216,21 @@ class TestParseErrorMessages:
             halin_from_tree(build_embedded_tree(0, {int(k): v for k, v in children.items()}))
         assert type(info.value) is error
         assert str(info.value) == message
+
+    def test_root_outside_the_tree(self, tmp_path, capsys):
+        # n is 1 + the listed children, so a root past them is refused
+        # rather than widening the tree
+        message = "root 4 is outside 0..3"
+        data = _children_bytes({"0": [1, 2, 3]}, root=4)
+        for build in (lambda: parse_instance(data),
+                      lambda: build_embedded_tree(4, {0: [1, 2, 3]})):
+            with pytest.raises(DisconnectedInput) as info:
+                build()
+            assert type(info.value) is DisconnectedInput and str(info.value) == message
+        inst = tmp_path / "bad.json"
+        inst.write_bytes(data)
+        assert main(["export-dot", "-i", str(inst), "-o", str(tmp_path / "x.dot")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_tree_object_shape(self):
         with pytest.raises(ParseError, match="^'tree' needs integer 'root' and object"):

@@ -3,18 +3,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halin_ola import (
+    BadParam,
     CycleDetected,
     DisconnectedInput,
     DuplicateChild,
     EmbeddedTree,
+    GenSpec,
     HalinGraph,
     InvalidSubstrate,
     Layout,
     SimpleGraph,
     build_embedded_tree,
     cycle_graph,
+    gen_caterpillar_halin,
     gen_kary_rbt_halin,
     gen_random_halin,
+    gen_wheel,
+    generate,
     halin_from_tree,
     la_cost,
     validate_halin_substrate,
@@ -152,6 +157,12 @@ class TestEmbeddedTreeChecks:
         "root-out-of-range": (4, ((1, 2, 3), (), (), ()), DisconnectedInput,
                               "root 4 is outside 0..3"),
         "no-vertex": (0, (), DisconnectedInput, "a tree needs at least one vertex"),
+        # the type rule: a list of lists hashes with a TypeError and has no
+        # () leaves, and a float child or bool root is not a vertex id
+        "lists": (0, [[1, 2, 3], [], [], []], BadParam, "children must be a tuple of tuples"),
+        "float-child": (0, ((1.0, 2, 3), (), (), ()), BadParam,
+                        "child 1.0 of vertex 0 is not an int"),
+        "bool-root": (True, ((), (0, 2, 3), (), ()), BadParam, "root True is not an int"),
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
@@ -185,6 +196,37 @@ class TestEmbeddedTreeChecks:
             children = h.tree.children
             parent_of = {c: v for v, cs in enumerate(children) for c in cs}
             assert h.tree.parent == tuple(map(parent_of.get, range(len(children))))
+
+
+class TestTypeRule:
+    # (build, error, message): ids and sizes must be ints that are not
+    # bools; each is refused where it is given, with the error type the
+    # record or generator already raises
+    REFUSED = {
+        "layout-float": (lambda: Layout((0.0, 1, 2, 3)), ValueError,
+                         "vertex_at must be a permutation of 0..n-1"),
+        "layout-bools": (lambda: Layout((True, False, 2, 3)), ValueError,
+                         "vertex_at must be a permutation of 0..n-1"),
+        "graph-float-end": (lambda: SimpleGraph(3, ((0, 1.5), (1, 2))), ValueError,
+                            "edge (0, 1.5) has an endpoint that is not an int"),
+        "graph-bool-n": (lambda: SimpleGraph(True, ()), ValueError, "n True is not an int"),
+        "wheel-float": (lambda: gen_wheel(4.0), BadParam, "spokes must be an int, got 4.0"),
+        "kary-float": (lambda: gen_kary_rbt_halin(3, 2, 2.0), BadParam,
+                       "height must be an int, got 2.0"),
+        "spec-float": (lambda: generate(GenSpec("wheel", (("spokes", 4.0),))), BadParam,
+                       "spokes must be an int, got 4.0"),
+        "random-float": (lambda: gen_random_halin(10.5, 1), BadParam,
+                         "n_target must be an int, got 10.5"),
+        "caterpillar-float": (lambda: gen_caterpillar_halin(1, [3.0]), BadParam,
+                              "leaves_per_spine[0] must be an int, got 3.0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused(self, case):
+        build, error, message = self.REFUSED[case]
+        with pytest.raises(error) as raised:
+            build()
+        assert type(raised.value) is error and str(raised.value) == message
 
 
 class TestSubstrateValidation:
