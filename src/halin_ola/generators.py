@@ -1,7 +1,8 @@
 """Seeded, deterministic instance factories for Halin graph families.
 
 The four ``gen_*`` factories run with the cyclic collector paused.  Each
-raises BadParam for a size parameter that is not an ``int`` or is a bool.
+raises BadParam for a size parameter, or the random family's seed, that is
+not an ``int`` or is a bool.
 """
 
 from __future__ import annotations
@@ -152,9 +153,11 @@ def gen_random_halin(n_target: int, seed: int) -> HalinGraph:
     Grows from K_{1,3} by repeatedly giving a random current leaf two or
     three children; stops once n_target is reached (the last step may
     overshoot by up to 2).  Identical (n_target, seed) pairs produce
-    identical instances.
+    identical instances, so the seed must be an ``int`` too: a float or
+    bool seed, or ``None`` (a seed from the operating system), raises
+    BadParam.
     """
-    _check_ints(n_target=n_target)
+    _check_ints(n_target=n_target, seed=seed)
     if n_target < 4:
         raise BadParam(f"n_target must be >= 4, got {n_target}")
     _check_size("random", n_target + 2)  # the last step may overshoot by 2

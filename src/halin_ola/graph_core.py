@@ -12,7 +12,7 @@ import gc
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import compress
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import record
 from .errors import (BadParam, CycleDetected, DisconnectedInput, DuplicateChild,
@@ -153,14 +153,30 @@ def build_embedded_tree(
 
     A tree on n vertices lists n - 1 children, so n is 1 + the number of
     listed children; a vertex that is not a key is a leaf.  Child order is
-    preserved verbatim (it is the planar embedding).  Raises
+    preserved verbatim (it is the planar embedding).  Raises BadParam,
+    before any list is placed, for a key that is not an ``int`` or is a
+    bool, or a child list that is not a list or tuple; then
     DisconnectedInput for a key outside 0..n-1; every other check, and the
     vertex-id order it names faults in, is ``EmbeddedTree``'s, which then
     proves that each of 0..n-1 occurs once.
     """
-    n = 1 + sum(map(len, child_lists.values()))
+    keys, lists = child_lists.keys(), child_lists.values()
+    # bool is an int subclass, so the tests are on the exact type
+    if not set(map(type, keys)) <= {int}:
+        bad = next(v for v in keys if type(v) is not int)
+        raise BadParam(f"child-map key {bad!r} is not an int")
+    if not set(map(type, lists)) <= {list, tuple}:
+        bad = next(v for v, cs in child_lists.items() if type(cs) not in (list, tuple))
+        raise BadParam(f"the child list of vertex {bad} is not a list or tuple")
+    return _place_child_lists(root, keys, lists)
+
+
+def _place_child_lists(root: VertexId, keys: Iterable[VertexId],
+                       lists: Collection[Sequence[VertexId]]) -> EmbeddedTree:
+    """``build_embedded_tree`` after its type checks; ``keys`` pairs with ``lists``."""
+    n = 1 + sum(map(len, lists))
     children: List[Tuple[VertexId, ...]] = [()] * n
-    for v, cs in child_lists.items():
+    for v, cs in zip(keys, lists):
         if not 0 <= v < n:
             raise DisconnectedInput(f"child-map key {v} is outside 0..{n - 1}")
         children[v] = tuple(cs)

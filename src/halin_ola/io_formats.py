@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from itertools import chain, islice
-from typing import BinaryIO, Dict, Iterator, List, Optional
+from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 from .errors import ParseError, SchemaVersionUnsupported
-from .graph_core import HalinGraph, _collector_paused, build_embedded_tree, halin_from_tree
+from .graph_core import HalinGraph, _collector_paused, _place_child_lists, halin_from_tree
 from .layout_ops import Layout
 
 SCHEMA_VERSION = 1
@@ -98,11 +98,12 @@ def parse_instance(data: bytes) -> HalinGraph:
         children_doc = tree_doc.get("children")
         if type(root) is not int or not isinstance(children_doc, dict):
             raise ParseError("'tree' needs integer 'root' and object 'children'")
-        return halin_from_tree(build_embedded_tree(root, _child_map(children_doc)))
+        return halin_from_tree(_place_child_lists(root, *_child_map(children_doc)))
 
 
-def _child_map(children_doc: dict) -> Dict[int, List[int]]:
-    """The child map with integer keys, checked in a few whole-map passes.
+def _child_map(children_doc: dict) -> Tuple[List[int], List[List[int]]]:
+    """The child map's integer keys and its lists, checked in a few
+    whole-map passes: what ``build_embedded_tree`` checks and more.
 
     Keys must be canonical integers and values integer arrays; only when a
     pass fails is the map walked key by key, to name the first offender.
@@ -117,7 +118,7 @@ def _child_map(children_doc: dict) -> Dict[int, List[int]]:
     if not (canonical and set(map(type, lists)) <= {list}
             and set(map(type, chain.from_iterable(lists))) <= _INT):
         _raise_first_bad_key(children_doc)
-    return dict(zip(ids, lists))
+    return ids, lists
 
 
 def _raise_first_bad_key(children_doc: dict):

@@ -19,13 +19,15 @@ class Layout:
     """Bijection between vertices 0..n-1 and positions 1..n.
 
     ``vertex_at[i]`` is the vertex at position i+1.  Raises ValueError
-    unless it holds each of 0..n-1 once, every entry an ``int`` that is not
-    a bool.
+    unless it is a tuple that holds each of 0..n-1 once, every entry an
+    ``int`` that is not a bool.
     """
 
     vertex_at: Tuple[VertexId, ...]
 
     def __post_init__(self):
+        if type(self.vertex_at) is not tuple:
+            raise ValueError("vertex_at must be a tuple")
         # n distinct ints in 0..n-1 are exactly 0..n-1; one pass checks it
         n = len(self.vertex_at)
         free = [True] * n

@@ -27,7 +27,8 @@ _ORACLE_MAX_N = 20
 class SimpleGraph:
     """Minimal edge-list graph for oracle runs on non-Halin instances.
 
-    ``n`` and every endpoint must be an ``int`` that is not a bool.  A
+    ``n`` must be an ``int`` >= 0 and every endpoint an ``int``, neither a
+    bool, and ``edge_pairs`` a tuple of 2-tuples; ValueError otherwise.  A
     self-loop is refused here, a repeated edge by ``brute_force_ola``.
     """
 
@@ -37,7 +38,13 @@ class SimpleGraph:
     def __post_init__(self):
         if type(self.n) is not int:
             raise ValueError(f"n {self.n!r} is not an int")
-        for u, v in self.edge_pairs:
+        if self.n < 0:
+            raise ValueError(f"n {self.n} is below 0")
+        pairs = self.edge_pairs
+        if (type(pairs) is not tuple or not set(map(type, pairs)) <= {tuple}
+                or not set(map(len, pairs)) <= {2}):
+            raise ValueError("edge_pairs must be a tuple of 2-tuples")
+        for u, v in pairs:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
@@ -200,13 +207,9 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]], layout_cap: int) -> Ora
     A layout's cost is the sum of ``cut(prefix)`` over its n-1 gaps, so with
     ``h[full] = 0`` and ``h[S] = cut[S] + min_{v not in S} h[S | v]`` the
     optimum is ``h[0]``; ``cnt[S]`` sums the counts of the minimising
-    extensions.  That is all that runs at cap 0.  Otherwise
-    ``_first_optima`` records, for each prefix set that optimal steps reach,
-    its optimal next vertices and the vertices an optimal completion can
-    end on, and walks only along that record, entering a prefix only if it
-    can still end above its first vertex.  It lists in lexicographic order
-    the optima whose first vertex is smaller than their last, each emitted
-    with its reversal, up to ``layout_cap``.
+    extensions.  That is all that runs at cap 0.  Otherwise the lazy walk
+    ``_first_optima`` lists, in lexicographic order, the optima whose first
+    vertex is below their last, each with its reversal, up to ``layout_cap``.
     """
     adj = [0] * n  # cut(S | v) = cut(S) + |adj[v] - S - v| - |adj[v] & S|
     for u, v in pairs:
@@ -244,73 +247,55 @@ def _subset_dp(n: int, pairs: Sequence[Tuple[int, int]], layout_cap: int) -> Ora
 
 def _first_optima(n: int, h: List[int], cap: int) -> List[Layout]:
     """The first ``cap`` optima in the listing order (one more if ``cap`` is
-    odd), or all of them, read from the subset DP's filled ``h``.
-
-    ``rec[S] = ends << n | nxt`` for each prefix set S that optimal steps
-    reach: ``nxt`` holds its optimal next vertices, ``ends`` the vertices
-    its optimal completions end on.  Every prefix the walk enters leads to
-    a kept optimum, so it enters at most n prefixes per kept optimum.
+    odd), or all of them, read from the subset DP's filled ``h`` by one
+    depth-first walk along optimal steps, smallest vertex first.  ``nxt[S]``,
+    the optimal next vertices of prefix set S, is scanned when the walk first
+    enters S.  The walk enters a prefix only while some unplaced vertex lies
+    above the first, and keeps a layout, with its reversal, only if its last
+    vertex does.
     """
     full = (1 << n) - 1
-    rec = [0] * (full + 1)
-    reach = [0]
-    for s in reach:  # grows while read: breadth first, one prefix size at a time
-        free = full ^ s
-        best = None
-        nxt = 0
-        while free:
-            low = free & -free
-            free ^= low
-            x = h[s | low]
-            if best is None or x < best:
-                best, nxt = x, low
-            elif x == best:
-                nxt |= low
-        rec[s] = nxt
-        while nxt:
-            low = nxt & -nxt
-            nxt ^= low
-            if not rec[s | low]:
-                rec[s | low] = -1  # queued; overwritten when read
-                reach.append(s | low)
-    for s in reversed(reach):
-        nxt = m = rec[s]
-        ends = 0
-        while m:
-            low = m & -m
-            m ^= low
-            ends |= rec[s | low] >> n
-        # rec[full] is 0, so a set with one free vertex gets that vertex
-        rec[s] = (ends or nxt) << n | nxt
-    del reach  # the walk needs only rec
-
+    nxt = [0] * full  # 0 until the walk first enters the set
     layouts: List[Layout] = []
     prefix: List[int] = []
-    s = 0
-    todo = [rec[0] & full]  # untried next vertices of each prefix on the path
-    while todo:
-        m = todo[-1]
+    s, start = 0, 1  # at prefix set s, the walk next tries nxt[s] from bit start up
+    while True:
+        m = nxt[s]
         if not m:
-            todo.pop()
-            if prefix:
-                s ^= 1 << prefix.pop()
+            free = full ^ s
+            best = None
+            while free:
+                low = free & -free
+                free ^= low
+                x = h[s | low]
+                if best is None or x < best:
+                    best, m = x, low
+                elif x == best:
+                    m |= low
+            nxt[s] = m
+        m &= -start
+        if not m:  # s is done: back up one vertex
+            if not prefix:
+                return layouts
+            start = 2 << prefix.pop()
+            s ^= start >> 1
             continue
         low = m & -m
-        todo[-1] = m ^ low
-        t = s | low
-        if t == full:  # s was entered, so this last vertex is above the first
-            kept = (*prefix, low.bit_length() - 1)
-            layouts += (Layout(kept), Layout(kept[::-1]))
-            if len(layouts) >= cap:
-                break
-            continue
+        start = low << 1
         if not prefix:
-            above = full ^ ((low << 1) - 1)  # the vertices above the first
-        if rec[t] >> n & above:
+            above = full ^ (start - 1)  # the vertices above the first
+        left = full ^ s ^ low
+        if not left & above:
+            continue
+        if left & (left - 1):  # two or more left: enter s | low
             prefix.append(low.bit_length() - 1)
-            s = t
-            todo.append(rec[t] & full)
-    return layouts
+            s |= low
+            start = 1
+            continue
+        kept = (*prefix, low.bit_length() - 1, left.bit_length() - 1)
+        layouts += (Layout(kept), Layout(kept[::-1]))
+        if len(layouts) >= cap:
+            return layouts
 
 
 def brute_force_ola(g, limit: int = 10, pruned: bool = True,
@@ -319,7 +304,7 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
 
     The default path is the prefix-cut subset DP, O(2^n * n) time and about
     2 * 2^n list slots.  Only when layouts are listed does it hold one more
-    list of 2^n slots, and then it walks only the optima it lists.
+    list of 2^n slots, filled lazily by one walk that stops at the cap.
     ``pruned=False`` runs the independent enumeration of all n!
     permutations; both paths must agree, which the test suite checks for
     all n <= 7 instances.

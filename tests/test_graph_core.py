@@ -199,17 +199,42 @@ class TestEmbeddedTreeChecks:
 
 
 class TestTypeRule:
-    # (build, error, message): ids and sizes must be ints that are not
-    # bools; each is refused where it is given, with the error type the
-    # record or generator already raises
+    # (build, error, message): ids, sizes and seeds must be ints that are not
+    # bools, sizes at least 0, and containers of the declared type; each is
+    # refused where it is given, with the error type the record, adapter or
+    # generator already raises
     REFUSED = {
         "layout-float": (lambda: Layout((0.0, 1, 2, 3)), ValueError,
                          "vertex_at must be a permutation of 0..n-1"),
+        # a list hashes with a TypeError
+        "layout-list": (lambda: Layout([0, 1, 2, 3]), ValueError, "vertex_at must be a tuple"),
         "layout-bools": (lambda: Layout((True, False, 2, 3)), ValueError,
                          "vertex_at must be a permutation of 0..n-1"),
         "graph-float-end": (lambda: SimpleGraph(3, ((0, 1.5), (1, 2))), ValueError,
                             "edge (0, 1.5) has an endpoint that is not an int"),
         "graph-bool-n": (lambda: SimpleGraph(True, ()), ValueError, "n True is not an int"),
+        "graph-negative-n": (lambda: SimpleGraph(-1, ()), ValueError, "n -1 is below 0"),
+        "graph-list-edges": (lambda: SimpleGraph(2, [(0, 1)]), ValueError,
+                             "edge_pairs must be a tuple of 2-tuples"),
+        "graph-triple": (lambda: SimpleGraph(3, ((0, 1, 2),)), ValueError,
+                         "edge_pairs must be a tuple of 2-tuples"),
+        "graph-list-pair": (lambda: SimpleGraph(2, ([0, 1],)), ValueError,
+                            "edge_pairs must be a tuple of 2-tuples"),
+        # a length check on an int would raise TypeError
+        "graph-int-pair": (lambda: SimpleGraph(2, (5,)), ValueError,
+                           "edge_pairs must be a tuple of 2-tuples"),
+        "map-float-key": (lambda: build_embedded_tree(0, {0: [1, 2, 3], 1.0: [4, 5]}),
+                          BadParam, "child-map key 1.0 is not an int"),
+        "map-str-key": (lambda: build_embedded_tree(0, {0: [1, 2, 3], "1": [4, 5]}),
+                        BadParam, "child-map key '1' is not an int"),
+        # True would otherwise be taken as vertex 1
+        "map-bool-key": (lambda: build_embedded_tree(0, {0: [1, 2, 3], True: [4, 5]}),
+                         BadParam, "child-map key True is not an int"),
+        "map-int-value": (lambda: build_embedded_tree(0, {0: 5}), BadParam,
+                          "the child list of vertex 0 is not a list or tuple"),
+        # a set has no order, so it cannot give an embedding
+        "map-set-value": (lambda: build_embedded_tree(0, {0: {1, 2, 3}}), BadParam,
+                          "the child list of vertex 0 is not a list or tuple"),
         "wheel-float": (lambda: gen_wheel(4.0), BadParam, "spokes must be an int, got 4.0"),
         "kary-float": (lambda: gen_kary_rbt_halin(3, 2, 2.0), BadParam,
                        "height must be an int, got 2.0"),
@@ -217,6 +242,14 @@ class TestTypeRule:
                        "spokes must be an int, got 4.0"),
         "random-float": (lambda: gen_random_halin(10.5, 1), BadParam,
                          "n_target must be an int, got 10.5"),
+        "seed-float": (lambda: gen_random_halin(9, 1.5), BadParam,
+                       "seed must be an int, got 1.5"),
+        # True would otherwise build seed 1's instance
+        "seed-bool": (lambda: gen_random_halin(9, True), BadParam,
+                      "seed must be an int, got True"),
+        # None would seed from the operating system, so two calls would differ
+        "seed-none": (lambda: generate(GenSpec("random", (("n", 9),), seed=None)), BadParam,
+                      "seed must be an int, got None"),
         "caterpillar-float": (lambda: gen_caterpillar_halin(1, [3.0]), BadParam,
                               "leaves_per_spine[0] must be an int, got 3.0"),
     }

@@ -215,8 +215,9 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    # tracemalloc peaks in bytes, measured on CPython 3.11.7 before the
-    # listing kept a per-prefix record: (graph, cap 0 peak, default cap peak)
+    # tracemalloc peaks in bytes, measured on CPython 3.11.7 when the listing
+    # kept no per-prefix list and walked both mirror halves of the optima:
+    # (graph, cap 0 peak, default cap peak)
     _PARENT_PEAKS = [
         (lambda: SimpleGraph(14, ()), 679_741, 3_286_676),
         (lambda: gen_wheel(13), 281_408, 2_583_976),
@@ -241,6 +242,23 @@ class TestOracle:
                 tracemalloc.stop()
         assert got[0] <= peak0 + 4096
         assert got[1] <= peak + 2**20
+
+    @pytest.mark.parametrize("make", [
+        lambda: SimpleGraph(14, ()), lambda: star(13), lambda: gen_wheel(13),
+    ], ids=["edgeless-14", "star-13", "wheel-13"])
+    def test_cap_one_pays_one_list(self, make):
+        # listing one optimum holds at most one list of 2^n slots more than
+        # the DP alone; both peaks come from this process, so none is pinned
+        g = make()
+        peaks = []
+        for cap in (0, 1):
+            tracemalloc.start()
+            try:
+                brute_force_ola(g, limit=14, layout_cap=cap)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 8 * 2**g.n + 16 * 1024
 
     def test_layout_cap(self):
         tree = star(8)
