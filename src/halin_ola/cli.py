@@ -113,7 +113,7 @@ def _cmd_gen(args) -> int:
 
 def _int_list(text: str) -> List[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")] if text else []
     except ValueError as exc:
         raise BadParam(f"expected comma-separated integers, got {text!r}") from exc
 

@@ -133,7 +133,7 @@ def replay_trace(tree: EmbeddedTree, start: Layout, trace: SwapTrace) -> Layout:
 # ---------------------------------------------------------------------------
 
 @_collector_paused()
-def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
+def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> None:
     """Exchange child slots of ``order`` in place, top-down, as ``plan`` says.
 
     A node's child subtrees occupy equal-size contiguous slots around the
@@ -142,12 +142,12 @@ def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
     slots on opposite sides of the node is paired with reversing both
     blocks, which restores the two parent-edge expansions.
 
-    At each internal node v, ``plan(v, occupants)`` yields slot pairs
+    At each internal node v, ``plan(v, occupants, a)`` yields slot pairs
     (j, jt) to exchange in turn; ``occupants`` (the child in each slot) is
-    updated after each exchange.  The walk then descends into the occupants
-    in slot order.  Returns the exchanges, as (v, child leaving slot j,
-    child entering it, reversed) in order, and the number of vertices moved.
-    The cyclic collector is off during the walk.
+    updated after each exchange, and the first ``a`` slots lie left of v,
+    so an exchange is cross-side when ``(j < a) != (jt < a)``.  The walk
+    then descends into the occupants in slot order.  It records nothing; a
+    plan keeps its own trace.  The cyclic collector is off during the walk.
 
     Raises NotContiguous when a node's block is not partitioned into equal
     child slots around it, i.e. the layout is not a block-structured tree
@@ -155,9 +155,6 @@ def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
     """
     children, parent, size = tree.children, tree.parent, tree.subtree_sizes
     index = order.index
-    exchanges = []
-    record_exchange = exchanges.append
-    moved = 0
     stack = [(tree.root, 0)]
     pop = stack.pop
     while stack:
@@ -185,12 +182,9 @@ def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
                 if parent[c] != v:
                     break  # the slot checks below say what is wrong
             else:
-                for j, jt in plan(v, occupants):
+                for j, jt in plan(v, occupants, a):
                     x, y = lo + j + (j >= a), lo + jt + (jt >= a)
                     order[x], order[y] = order[y], order[x]
-                    moved += 2
-                    record_exchange((v, occupants[j], occupants[jt],
-                                     (j < a) != (jt < a)))
                     occupants[j], occupants[jt] = occupants[jt], occupants[j]
                 continue
         starts = [*range(lo, p, s), *range(p + 1, hi, s)]
@@ -206,16 +200,12 @@ def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> Tuple[list, int]:
             occupants.append(c)
         if len(set(occupants)) != k:
             raise NotContiguous(f"child blocks interleave under {v}")
-        for j, jt in plan(v, occupants):
-            cross = (j < a) != (jt < a)
-            d = -1 if cross else 1
+        for j, jt in plan(v, occupants, a):
+            d = -1 if (j < a) != (jt < a) else 1
             x, y = starts[j], starts[jt]
             order[x:x + s], order[y:y + s] = order[y:y + s][::d], order[x:x + s][::d]
-            moved += 2 * s
-            record_exchange((v, occupants[j], occupants[jt], cross))
             occupants[j], occupants[jt] = occupants[jt], occupants[j]
         stack += zip(reversed(occupants), reversed(starts))
-    return exchanges, moved
 
 
 def _check_bound(h: HalinGraph, layout: Layout, opt_cost: int, what: str):
@@ -244,6 +234,7 @@ def rearrange_to_halin_ola(h: HalinGraph,
     The optimum is priced on ``rbt_ola``'s layout; with ``tree_layout=None``
     the walk starts from that same layout, so it is built only once.  The
     walk reads the subtree sizes that ``rbt_ola``'s certificate summed.
+    The trace is kept here, not by the walk: the plan records each step.
 
     Raises NotRecursivelyBalanced, NotTreeOptimalInput (input cost differs
     from the recursively-balanced optimum), or NotContiguous (input layout
@@ -260,9 +251,10 @@ def rearrange_to_halin_ola(h: HalinGraph,
         if in_cost != opt_cost:
             raise NotTreeOptimalInput(f"input tree cost {in_cost} != optimum {opt_cost}")
 
-    heights = tree.subtree_heights
+    heights, size = tree.subtree_heights, tree.subtree_sizes
+    steps: List[SwapStep] = []
 
-    def sort_toward_reversed(v: VertexId, occupants: List[VertexId]):
+    def sort_toward_reversed(v: VertexId, occupants: List[VertexId], a: int):
         # selection sort into reversed embedding order (at the root, the
         # rotation of it that keeps the leftmost block in place).  The order
         # is absolute, so below a reversed block each node sorts what it finds
@@ -272,14 +264,16 @@ def rearrange_to_halin_ola(h: HalinGraph,
         for j in range(len(cs)):
             jt = slot_of[cs[(j0 - j) % len(cs)]]
             if jt != j:
+                steps.append(SwapStep(heights[v], occupants[j], occupants[jt],
+                                      (j < a) != (jt < a)))
                 yield j, jt
                 slot_of[occupants[jt]] = jt
 
     order = list(tree_layout.vertex_at)
-    exchanges, moved = _walk(tree, order, sort_toward_reversed)
-    steps = [SwapStep(heights[v], out_, in_, cross) for v, out_, in_, cross in exchanges]
+    _walk(tree, order, sort_toward_reversed)
     out = Layout(tuple(order))
     _check_bound(h, out, opt_cost, "rearranged")
+    moved = sum(2 * size[step.block_a] for step in steps)
     return out, SwapTrace(tuple(steps), len(steps), moved)
 
 
@@ -315,7 +309,7 @@ def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
     Randomly permutes the equal-size child blocks at every node (a
     Fisher-Yates shuffle of the slots) with the rearranger's cost-free
     exchanges.  Useful for producing inputs whose rearrangement trace is
-    non-trivial.
+    non-trivial.  Nothing is recorded: the shuffle keeps no trace.
 
     Raises BadParam, before the walk, when the layout's size is not the
     tree's, and NotContiguous when ``layout`` is not block-structured.
@@ -325,7 +319,7 @@ def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
     _check_same_size(tree, layout)
     rng = random.Random(seed)
 
-    def fisher_yates(v: VertexId, occupants: List[VertexId]):
+    def fisher_yates(v: VertexId, occupants: List[VertexId], a: int):
         for j in range(len(occupants) - 1, 0, -1):
             jt = rng.randrange(j + 1)
             if jt != j:

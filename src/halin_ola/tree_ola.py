@@ -80,15 +80,12 @@ class VisitCounter:
         self.touches = 0
 
 
-def is_recursively_balanced(tree: EmbeddedTree,
-                            stats: Optional[VisitCounter] = None) -> RbtCertificate:
+def is_recursively_balanced(tree: EmbeddedTree) -> RbtCertificate:
     """Check that every internal vertex heads equal-size balanced subtrees.
 
     That holds exactly when every vertex's children head subtrees of one
     size, read from the tree's cached ``subtree_sizes``.
     """
-    if stats is not None:
-        stats.touches += 2 * tree.n  # the preorder, then one visit per vertex
     size = tree.subtree_sizes
     for cs in tree.children:
         if cs:
@@ -105,27 +102,29 @@ def rbt_ola(tree: EmbeddedTree, stats: Optional[VisitCounter] = None) -> Layout:
     Each vertex sits between a balanced split of its child blocks; a child
     block keeps its own root on the side facing its parent.  The split uses
     the cheaper of the two roundings of (k+1)/2 (ceil overshoots for stars of
-    even degree).  Every vertex is touched O(1) times.
+    even degree).  Every vertex is touched O(1) times, and only here are the
+    touches counted into ``stats``: 2n for the certificate, n for the emitter.
 
     Raises NotRecursivelyBalanced when the certificate fails.
     """
-    if not is_recursively_balanced(tree, stats=stats).verdict:
+    if stats is not None:
+        stats.touches += 2 * tree.n  # the preorder, then one visit per vertex
+    if not is_recursively_balanced(tree).verdict:
         raise NotRecursivelyBalanced(
             "tree is not recursively balanced; rbt_ola does not apply"
         )
-    return _balanced_layout(tree, mirror=False, stats=stats)
+    if stats is not None:
+        stats.touches += tree.n  # the emitter: one visit per vertex
+    return _balanced_layout(tree, mirror=False)
 
 
 @_collector_paused()
-def _balanced_layout(tree: EmbeddedTree, mirror: bool,
-                     stats: Optional[VisitCounter] = None) -> Layout:
+def _balanced_layout(tree: EmbeddedTree, mirror: bool) -> Layout:
     """The balanced-split emitter behind ``rbt_ola``; the tree must be balanced.
 
     ``mirror=True`` reverses every child list first, i.e. lays out the
     mirrored embedding.  The cyclic collector is off while it runs.
     """
-    if stats is not None:
-        stats.touches += tree.n  # one visit per vertex
     children = tree.children
     order: List[VertexId] = []
     emit = order.append

@@ -602,6 +602,21 @@ class TestCliPipeline:
         assert err.startswith(f"error: bad corpus entry {entry!r} (expected ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,text", [
+        (["proptest", "--corpus", "random=7,,5"], "7,,5"),
+        (["proptest", "--corpus", "kary=3,,2,2"], "3,,2,2"),
+        (["gen", "--family", "caterpillar", "--spine", "2", "--leaves", ",2,,3,"],
+         ",2,,3,")])
+    def test_empty_integer_field_exit_1(self, argv, text, tmp_path, capsys):
+        # an empty field is a typo: skipping it would change the request
+        out = tmp_path / "x.json"
+        if argv[0] == "gen":
+            argv = argv + ["-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: expected comma-separated integers, got {text!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry,seeds", [
         ("random=7", [0]), ("random=7,2", [1, 2]), ("random=7,2,5", [5, 6])])
     def test_random_corpus_entry_defaults(self, entry, seeds, capsys):

@@ -91,21 +91,22 @@ class TestRbtOla:
             rbt_ola(build_embedded_tree(0, {0: [1, 2], 1: [3]}))
 
     def test_certificate_and_touches_pinned(self):
+        # only rbt_ola counts touches: 2n for the certificate, n for the emitter
         tree = gen_kary_rbt_halin(3, 2, 4).tree
-        stats = VisitCounter()
-        assert is_recursively_balanced(tree, stats=stats).verdict
+        assert is_recursively_balanced(tree).verdict
         assert tree.subtree_sizes == (
             46, 15, 15, 15, 7, 7, 3, 3, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 7, 7, 3, 3, 1,
             1, 1, 1, 3, 3, 1, 1, 1, 1, 7, 7, 3, 3, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1)
-        assert stats.touches == 92
         stats = VisitCounter()
         rbt_ola(tree, stats=stats)
         assert stats.touches == 138
-        stats = VisitCounter()
         tree = gen_caterpillar_halin(3, [2, 1, 2]).tree
-        assert not is_recursively_balanced(tree, stats=stats).verdict
+        assert not is_recursively_balanced(tree).verdict
         assert tree.subtree_sizes == (8, 5, 3, 1, 1, 1, 1, 1)
-        assert stats.touches == 16
+        stats = VisitCounter()
+        with pytest.raises(NotRecursivelyBalanced):
+            rbt_ola(tree, stats=stats)
+        assert stats.touches == 16  # a refused tree still reads 2n
 
     def test_visit_counter_linear(self):
         tree = tri_star()
