@@ -12,6 +12,7 @@ limit, generator size ceiling); 2 I/O, parse, schema, or substrate errors;
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -127,6 +128,8 @@ def _print_cost(h: HalinGraph, layout) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.tree_layout is not None and args.method != "rearrange":
+        raise BadParam("-t/--tree-layout applies only to --method rearrange")
     h = _load_instance(args.input)
     if args.method == "oracle":
         layout = brute_force_ola(h, limit=args.limit, layout_cap=1).optimal_layouts[0]
@@ -167,8 +170,6 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int, advice: str = "")
 
 
 def _cmd_bound(args) -> int:
-    if args.tree_opt is not None and args.tree_opt < 0:
-        raise BadParam(f"--tree-opt must be >= 0, got {args.tree_opt}")
     h = _load_instance(args.input)
     if args.tree_opt is not None:
         tree_opt = args.tree_opt
@@ -351,6 +352,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the options that take a count, each refused when negative before any input is read
+_COUNT_OPTIONS = ("tree_opt", "limit", "oracle_limit")
+
+
+def _check_counts(args) -> None:
+    for name in _COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise BadParam(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _emit_error(exc: Exception, as_json: bool, code: int) -> None:
     message = str(exc) or exc.__class__.__name__
     print(f"error: {message}", file=sys.stderr)
@@ -368,12 +380,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     ``argv`` defaults to ``sys.argv[1:]``; an explicit ``argv`` is the only
     input, so ``--json`` in the process's own arguments does not apply to it.
+
+    The cyclic garbage collector is off while the command runs, as the
+    package makes no reference cycles; the caller's setting is restored
+    afterwards, also after an error or ``-h``.
     """
     as_json = "--json" in (sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    was_on = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         as_json = args.json
+        _check_counts(args)
         return args.func(args)
     except _Help:
         return 0
@@ -384,6 +402,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (HalinOlaError, OSError) as exc:
         _emit_error(exc, as_json, 2)
         return 2
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def console_entry() -> None:  # pragma: no cover - thin wrapper

@@ -1,8 +1,7 @@
 """Seeded, deterministic instance factories for Halin graph families.
 
-The four ``gen_*`` factories run with the cyclic collector paused.  Each
-raises BadParam for a size parameter, or the random family's seed, that is
-not an ``int`` or is a bool.
+Each of the four ``gen_*`` factories raises BadParam for a size parameter,
+or the random family's seed, that is not an ``int`` or is a bool.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import List, Sequence, Tuple
 
 from ._record import record
 from .errors import BadParam, TooLarge
-from .graph_core import EmbeddedTree, HalinGraph, _collector_paused, halin_from_tree
+from .graph_core import EmbeddedTree, HalinGraph, halin_from_tree
 
 
 # The most vertices a generator builds: about 21 times the largest benchmark
@@ -47,7 +46,6 @@ class GenSpec:
         return {"family": self.family, "params": dict(self.params), "seed": self.seed}
 
 
-@_collector_paused()
 def gen_wheel(spokes: int) -> HalinGraph:
     """Wheel: a star hub plus the cycle through its ``spokes`` leaves."""
     _check_ints(spokes=spokes)
@@ -57,7 +55,6 @@ def gen_wheel(spokes: int) -> HalinGraph:
     return halin_from_tree(EmbeddedTree(0, (tuple(range(1, spokes + 1)),) + ((),) * spokes))
 
 
-@_collector_paused()
 def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
     """Recursively balanced substrate: root degree k, inner degree c.
 
@@ -96,7 +93,6 @@ def gen_kary_rbt_halin(k: int, c: int, height: int) -> HalinGraph:
     return halin_from_tree(EmbeddedTree(0, tuple(children)))
 
 
-@_collector_paused()
 def gen_caterpillar_halin(spine_len: int, leaves_per_spine: Sequence[int]) -> HalinGraph:
     """Halin graph over a caterpillar: a spine path with pendant leaves.
 
@@ -146,7 +142,6 @@ def gen_caterpillar_halin(spine_len: int, leaves_per_spine: Sequence[int]) -> Ha
     return halin_from_tree(EmbeddedTree(0, tuple(children)))
 
 
-@_collector_paused()
 def gen_random_halin(n_target: int, seed: int) -> HalinGraph:
     """Seeded random Halin graph with at least ``n_target`` vertices.
 

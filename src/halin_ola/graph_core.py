@@ -8,11 +8,9 @@ first.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from functools import cached_property
 from itertools import compress
-from typing import Collection, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import record
 from .errors import (BadParam, CycleDetected, DisconnectedInput, DuplicateChild,
@@ -126,24 +124,6 @@ class EmbeddedTree:
                 if height[c] >= height[v]:
                     height[v] = height[c] + 1
         return tuple(height)
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Keep the cyclic collector off while a builder runs.
-
-    What the builders make (a decoded document, a tree, a layout, a swap
-    list) is acyclic, so a collection pass over it frees nothing.  The
-    caller's collector state is restored on exit, also on error; a collector
-    that was off stays off.  ``@_collector_paused()`` pauses a whole function.
-    """
-    was_on = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_on:
-            gc.enable()
 
 
 def build_embedded_tree(

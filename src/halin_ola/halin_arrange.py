@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from ._record import record
 from .errors import HalinOlaError, NotContiguous, NotRecursivelyBalanced, NotTreeOptimalInput
-from .graph_core import EmbeddedTree, HalinGraph, VertexId, _collector_paused
+from .graph_core import EmbeddedTree, HalinGraph, VertexId
 from .layout_ops import Layout, _check_same_size, la_cost, la_total, reverse_block, sigma_swap
 from .tree_ola import _balanced_layout, rbt_ola
 
@@ -132,7 +132,6 @@ def replay_trace(tree: EmbeddedTree, start: Layout, trace: SwapTrace) -> Layout:
 # In-place block walk
 # ---------------------------------------------------------------------------
 
-@_collector_paused()
 def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> None:
     """Exchange child slots of ``order`` in place, top-down, as ``plan`` says.
 
@@ -147,7 +146,7 @@ def _walk(tree: EmbeddedTree, order: List[VertexId], plan) -> None:
     updated after each exchange, and the first ``a`` slots lie left of v,
     so an exchange is cross-side when ``(j < a) != (jt < a)``.  The walk
     then descends into the occupants in slot order.  It records nothing; a
-    plan keeps its own trace.  The cyclic collector is off during the walk.
+    plan keeps its own trace.
 
     Raises NotContiguous when a node's block is not partitioned into equal
     child slots around it, i.e. the layout is not a block-structured tree

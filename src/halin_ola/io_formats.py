@@ -16,7 +16,7 @@ from itertools import chain, islice
 from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 from .errors import ParseError, SchemaVersionUnsupported
-from .graph_core import HalinGraph, _collector_paused, _place_child_lists, halin_from_tree
+from .graph_core import HalinGraph, _place_child_lists, halin_from_tree
 from .layout_ops import Layout
 
 SCHEMA_VERSION = 1
@@ -79,26 +79,24 @@ def parse_instance(data: bytes) -> HalinGraph:
     Unknown fields are rejected, and the root, the child-map keys and the
     children must be JSON integers (ParseError).  The tree's n is 1 + the
     number of listed children, and a root, key or child outside 0..n-1 is
-    refused.  The cyclic garbage collector is off while the file
-    is decoded and the graph built, and left as the caller had it.  Raises
-    ParseError, SchemaVersionUnsupported, what ``build_embedded_tree``
-    raises (structural faults named in vertex-id order), or InvalidSubstrate.
+    refused.  Raises ParseError, SchemaVersionUnsupported, what
+    ``build_embedded_tree`` raises (structural faults named in vertex-id
+    order), or InvalidSubstrate.
     """
-    with _collector_paused():
-        doc = _load_json(data)
-        if not isinstance(doc, dict):
-            raise ParseError("instance file must be a JSON object")
-        _check_version(doc)
-        _check_fields(doc, _INSTANCE_FIELDS, "instance")
-        tree_doc = doc.get("tree")
-        if not isinstance(tree_doc, dict):
-            raise ParseError("missing or malformed 'tree' object")
-        _check_fields(tree_doc, _TREE_FIELDS, "tree")
-        root = tree_doc.get("root")
-        children_doc = tree_doc.get("children")
-        if type(root) is not int or not isinstance(children_doc, dict):
-            raise ParseError("'tree' needs integer 'root' and object 'children'")
-        return halin_from_tree(_place_child_lists(root, *_child_map(children_doc)))
+    doc = _load_json(data)
+    if not isinstance(doc, dict):
+        raise ParseError("instance file must be a JSON object")
+    _check_version(doc)
+    _check_fields(doc, _INSTANCE_FIELDS, "instance")
+    tree_doc = doc.get("tree")
+    if not isinstance(tree_doc, dict):
+        raise ParseError("missing or malformed 'tree' object")
+    _check_fields(tree_doc, _TREE_FIELDS, "tree")
+    root = tree_doc.get("root")
+    children_doc = tree_doc.get("children")
+    if type(root) is not int or not isinstance(children_doc, dict):
+        raise ParseError("'tree' needs integer 'root' and object 'children'")
+    return halin_from_tree(_place_child_lists(root, *_child_map(children_doc)))
 
 
 def _child_map(children_doc: dict) -> Tuple[List[int], List[List[int]]]:

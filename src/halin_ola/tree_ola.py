@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ._record import record
 from .errors import BadParam, NotRecursivelyBalanced, TooLarge
-from .graph_core import EmbeddedTree, VertexId, _collector_paused
+from .graph_core import EmbeddedTree, VertexId
 from .layout_ops import Layout
 
 LAYOUT_CAP = 10_000
@@ -118,12 +118,11 @@ def rbt_ola(tree: EmbeddedTree, stats: Optional[VisitCounter] = None) -> Layout:
     return _balanced_layout(tree, mirror=False)
 
 
-@_collector_paused()
 def _balanced_layout(tree: EmbeddedTree, mirror: bool) -> Layout:
     """The balanced-split emitter behind ``rbt_ola``; the tree must be balanced.
 
     ``mirror=True`` reverses every child list first, i.e. lays out the
-    mirrored embedding.  The cyclic collector is off while it runs.
+    mirrored embedding.
     """
     children = tree.children
     order: List[VertexId] = []

@@ -681,6 +681,36 @@ class TestCliPipeline:
         assert main(["bound", "-i", str(inst), "--tree-opt", "0"]) == 0
         assert capsys.readouterr().out == "8\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--method", "oracle", "-i", "k4", "-o", "out", "--limit", "-5"],
+         "--limit must be >= 0, got -5"),
+        (["bound", "-i", "k4", "--oracle", "--limit", "-1"], "--limit must be >= 0, got -1"),
+        (["verify", "-i", "k4", "-l", "k4", "--limit", "-1"], "--limit must be >= 0, got -1"),
+        (["proptest", "--corpus", "wheel=3", "--oracle-limit", "-1"],
+         "--oracle-limit must be >= 0, got -1"),
+    ], ids=["solve", "bound", "verify", "proptest"])
+    def test_negative_count_refused_before_input(self, argv, message, tmp_path, capsys,
+                                                 monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "_read", reads.append)
+        argv = [str(tmp_path / a) if a in ("k4", "out") else a for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["direct", "rbt", "oracle"])
+    def test_tree_layout_only_with_rearrange(self, method, tmp_path, capsys, monkeypatch):
+        inst, out = tmp_path / "k4.json", tmp_path / "out.json"
+        main(["gen", "--family", "wheel", "--spokes", "3", "-o", str(inst)])
+        capsys.readouterr()
+        reads = []
+        monkeypatch.setattr(cli, "_read", reads.append)
+        assert main(["solve", "--method", method, "-i", str(inst),
+                     "-t", str(tmp_path / "missing.json"), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: -t/--tree-layout applies only to --method rearrange\n")
+        assert reads == [] and not out.exists()
+
     def test_tree_optimum_refusal_names_only_own_options(self, tmp_path, capsys):
         # a random instance whose tree is not recursively balanced, with n
         # above the default oracle limit of 10
