@@ -6,8 +6,8 @@ together that costs more than importing the rest of the package, and every
 CLI command pays it.
 
 ``@record`` reads the fields from the class annotations, in order, without
-evaluating them.  A class-level value is the field's default;
-``field(default_factory=...)`` makes one per instance.  It adds ``__init__``
+evaluating them.  A class-level value is the field's default, shared by
+every instance that takes it.  It adds ``__init__``
 (which ends by calling ``__post_init__`` if the class has one), ``__repr__``
 as ``Name(field=value, ...)``, ``__eq__`` over the fields of two instances
 of the same class, and ``__match_args__``.  ``frozen=True`` adds
@@ -24,23 +24,10 @@ their camelCase names.
 from __future__ import annotations
 
 _MISSING = object()
-_FACTORY = object()  # the __init__ default of a field with a default_factory
 
 
 class FrozenRecordError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
-
-
-class _Factory:
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def field(*, default_factory):
-    """A field whose default is made by ``default_factory()`` per instance."""
-    return _Factory(default_factory)
 
 
 def record(cls=None, *, frozen: bool = False):
@@ -69,21 +56,15 @@ def _frozen_delattr(self, name):
 
 def _build(cls, frozen: bool):
     fields = {name: cls.__dict__.get(name, _MISSING) for name in cls.__annotations__}
-    namespace = {"_setattr": object.__setattr__, "_FACTORY": _FACTORY}
+    namespace = {"_setattr": object.__setattr__}
     lines, defaults = [], []
     for name, default in fields.items():
-        value = name
-        if isinstance(default, _Factory):
-            delattr(cls, name)
-            namespace[f"_factory_{name}"] = default.make
-            value = f"_factory_{name}() if {name} is _FACTORY else {name}"
-            defaults.append(_FACTORY)
-        elif default is not _MISSING:
+        if default is not _MISSING:
             defaults.append(default)
         elif defaults:
             raise TypeError(f"non-default field {name!r} follows a default field")
-        lines.append(f"    _setattr(self, {name!r}, {value})\n" if frozen
-                     else f"    self.{name} = {value}\n")
+        lines.append(f"    _setattr(self, {name!r}, {name})\n" if frozen
+                     else f"    self.{name} = {name}\n")
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()\n")
     key = "".join(f"self.{name}, " for name in fields)

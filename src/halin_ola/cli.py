@@ -94,17 +94,25 @@ _CORPUS_ENTRY = {"wheel": "wheel=S or wheel=LO..HI", "kary": "kary=K,C,H",
                  "random": "random=N[,COUNT[,SEED0]]"}
 
 
+def _listed(names: Sequence[str]) -> str:
+    flags = [f"--{name}" for name in names]
+    return ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
+
+
 def _cmd_gen(args) -> int:
     names = _GEN_OPTIONS[args.family]
     if any(getattr(args, name) is None for name in names):
-        flags = [f"--{name}" for name in names]
-        listed = ", ".join(flags[:-1]) + " and " + flags[-1] if flags[1:] else flags[0]
-        raise BadParam(f"gen --family {args.family} requires {listed}")
+        raise BadParam(f"gen --family {args.family} requires {_listed(names)}")
+    own = (*names, "seed") if args.family == "random" else names
+    foreign = [name for family_names in (*_GEN_OPTIONS.values(), ("seed",))
+               for name in family_names if name not in own and getattr(args, name) is not None]
+    if foreign:
+        raise BadParam(f"gen --family {args.family} does not take {_listed(foreign)}")
     if args.family == "caterpillar":
         spec = caterpillar_spec(args.spine, _int_list(args.leaves))
     else:
         params = tuple((name, getattr(args, name)) for name in names)
-        spec = GenSpec(args.family, params, seed=args.seed if args.family == "random" else 0)
+        spec = GenSpec(args.family, params, seed=args.seed or 0)
     h = generate(spec)
     metadata = {"genSpec": spec.to_jsonable()}
     _write(args.output, serialize_instance(h, metadata=metadata))
@@ -173,6 +181,9 @@ def _cmd_bound(args) -> int:
     h = _load_instance(args.input)
     if args.tree_opt is not None:
         tree_opt = args.tree_opt
+        if tree_opt < h.n - 1:  # each of the n - 1 tree edges costs at least 1
+            raise BadParam(f"--tree-opt {tree_opt} is below n-1 = {h.n - 1}, "
+                           "the least cost of any tree layout")
     else:
         tree_opt = _tree_optimum(h, args.oracle, args.limit, "; pass --tree-opt")
     print(halin_lower_bound(h, tree_opt))
@@ -298,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--spine", type=int)
     p.add_argument("--leaves", help="comma-separated leaf counts per spine vertex")
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random only; defaults to 0")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._record import field, jsonable, record
+from ._record import jsonable, record
 from .errors import HalinOlaError
 from .generators import GenSpec
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
@@ -31,11 +31,13 @@ def _spine(tree: EmbeddedTree, first: VertexId, last: VertexId) -> tuple:
     The path is the tree path from ``first`` to ``last``.  Removing its
     edges leaves one subtree per path vertex, subtrees[i] owning path[i];
     removing path[i] from its subtree leaves the branches anchored at it,
-    branches[i] holding the vertices of each.  Each off-path neighbour of
-    path[i] anchors one branch: its component once path[i] is removed,
-    which holds no path vertex, as its tree path to one runs via path[i].
+    branches[i] holding the vertices of each.  The path holds the ancestors
+    of ``first`` and ``last`` up to its top vertex, so no path vertex lies
+    below a child of path[i] off it: that child's subtree, a preorder slice,
+    is a branch; the top, unless the root, anchors all outside its subtree too.
     """
     parent, children = tree.parent, tree.children
+    pre, size = tree._preorder, tree.subtree_sizes
     up = [first]
     while parent[up[-1]] is not None:
         up.append(parent[up[-1]])
@@ -45,19 +47,13 @@ def _spine(tree: EmbeddedTree, first: VertexId, last: VertexId) -> tuple:
         down.append(parent[down[-1]])
     path = (*up[:depth[down[-1]]], *reversed(down))
     subtrees, branches = [], []
-    for i, w in enumerate(path):
-        beside = path[max(i - 1, 0):i + 2]
-        at_w = []
-        for a in (*children[w], parent[w]):
-            if a is None or a in beside:
-                continue
-            branch, stack = [], [(a, w)]
-            while stack:
-                x, came = stack.pop()
-                branch.append(x)
-                stack += [(y, x) for y in (*children[x], parent[x])
-                          if y is not None and y != came]
-            at_w.append(tuple(branch))
+    for w in path:
+        i = pre.index(w)
+        at_w = [pre[:i] + pre[i + size[w]:]] if w == down[-1] != tree.root else []
+        for c in children[w]:  # pre[i] is the last vertex before c's subtree
+            if c not in path:
+                at_w.append(pre[i + 1:i + 1 + size[c]])
+            i += size[c]
         subtrees.append((w, *(v for branch in at_w for v in branch)))
         branches.append(tuple(at_w))
     return path, tuple(subtrees), tuple(branches)
@@ -196,8 +192,12 @@ class InstanceReport:
     branch_vacuous_passes: int = 0
     extremes_violations: int = 0
     extremes_repaired: int = 0
-    counterexamples: List[dict] = field(default_factory=list)
+    counterexamples: Optional[List[dict]] = None
     error: Optional[str] = None
+
+    def __post_init__(self):
+        if self.counterexamples is None:
+            self.counterexamples = []
 
     @property
     def passed(self) -> bool:

@@ -512,6 +512,29 @@ class TestCliPipeline:
         assert main(["gen", "--family", family, "-o", str(tmp_path / "x.json")]) == 1
         assert capsys.readouterr().err == f"error: gen --family {family} requires {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["wheel", "--spokes", "3", "--seed", "5", "--k", "9"], "--k and --seed"),
+        (["wheel", "--spokes", "3", "--seed", "0"], "--seed"),
+        (["kary", "--k", "3", "--c", "2", "--h", "2", "--spokes", "4", "--n", "7"],
+         "--spokes and --n"),
+        (["caterpillar", "--spine", "2", "--leaves", "2,2", "--h", "1"], "--h"),
+        (["random", "--n", "7", "--seed", "1", "--spine", "2", "--leaves", "2,2"],
+         "--spine and --leaves")])
+    def test_gen_refuses_options_of_other_families(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--family", *argv, "-o", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: gen --family {argv[0]} does not take {message}\n")
+        assert not out.exists()
+
+    def test_gen_random_seed_defaults_to_0(self, tmp_path):
+        unset, zero = tmp_path / "unset.json", tmp_path / "zero.json"
+        assert main(["gen", "--family", "random", "--n", "9", "-o", str(unset)]) == 0
+        assert main(["gen", "--family", "random", "--n", "9", "--seed", "0",
+                     "-o", str(zero)]) == 0
+        assert unset.read_bytes() == zero.read_bytes()
+        assert instance_metadata(unset.read_bytes())["genSpec"]["seed"] == 0
+
     def test_gen_caterpillar_count_mismatch(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(["gen", "--family", "caterpillar", "--spine", "3", "--leaves", "2,2",
@@ -593,9 +616,22 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize("entry,name", [
+        ("kary=3,2,2", "kary(k=3,c=2,h=2)"),
+        ("caterpillar=2:2,2", "caterpillar(spine=2,l0=2,l1=2)")])
+    def test_proptest_kary_and_caterpillar_entries(self, entry, name, capsys):
+        assert main(["proptest", "--corpus", entry]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out[2:-1]] == [name]
+        assert out[-1] == "overall: PASS"
+
+    def test_unknown_corpus_family_exit_1(self, capsys):
+        assert main(["proptest", "--corpus", "wheel=3;star=3"]) == 1
+        assert capsys.readouterr() == ("", "error: unknown corpus family 'star'\n")
+
     @pytest.mark.parametrize("entry", [
         "wheel=x", "wheel=3..x", "kary=3,2", "caterpillar=3", "caterpillar=x:2,2",
-        "random=", "random=7,1,0,9"])
+        "random=", "random=7,1,0,9", "wheel"])
     def test_malformed_corpus_entry_exit_1(self, entry, capsys):
         assert main(["proptest", "--corpus", entry]) == 1
         err = capsys.readouterr().err
@@ -678,8 +714,20 @@ class TestCliPipeline:
         assert main(["bound", "-i", str(inst), "--tree-opt", "-100"]) == 1
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "error: --tree-opt must be >= 0, got -100\n")
-        assert main(["bound", "-i", str(inst), "--tree-opt", "0"]) == 0
-        assert capsys.readouterr().out == "8\n"
+        assert main(["bound", "-i", str(inst), "--tree-opt", "6"]) == 0
+        assert capsys.readouterr().out == "14\n"
+
+    @pytest.mark.parametrize("value", [0, 3])
+    def test_bound_rejects_tree_opt_below_edge_count(self, value, tmp_path, capsys):
+        # each of the n - 1 = 4 tree edges of W5 costs at least 1
+        inst = tmp_path / "w5.json"
+        main(["gen", "--family", "wheel", "--spokes", "4", "-o", str(inst)])
+        capsys.readouterr()
+        assert main(["bound", "-i", str(inst), "--tree-opt", str(value)]) == 1
+        assert capsys.readouterr() == ("", f"error: --tree-opt {value} is below n-1 = 4, "
+                                           "the least cost of any tree layout\n")
+        assert main(["bound", "-i", str(inst), "--tree-opt", "4"]) == 0
+        assert capsys.readouterr().out == "12\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--method", "oracle", "-i", "k4", "-o", "out", "--limit", "-5"],

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from functools import cached_property
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -30,6 +31,7 @@ from halin_ola import (
     gen_caterpillar_halin,
     gen_kary_rbt_halin,
     gen_wheel,
+    halin_arrange,
     halin_lower_bound,
     is_recursively_balanced,
     la_cost,
@@ -41,21 +43,22 @@ from halin_ola import (
 )
 
 
-def _raises_under_optimize(body: str):
-    """Run ``body`` under ``python -O``; it must end in a HalinOlaError."""
+def _raises_under_optimize(body: str, message: Optional[str] = None):
+    """Run ``body`` under ``python -O``; it must end in a HalinOlaError, whose
+    text is ``message`` when one is given."""
     script = textwrap.dedent("""
         import sys
-        from halin_ola import (HalinOlaError, direct_rbt_halin_ola, gen_kary_rbt_halin,
-                               halin_arrange, rbt_ola, rearrange_to_halin_ola,
-                               scramble_tree_ola)
+        from halin_ola import (HalinOlaError, Layout, direct_rbt_halin_ola,
+                               gen_kary_rbt_halin, halin_arrange, rbt_ola,
+                               rearrange_to_halin_ola, scramble_tree_ola)
         if __debug__:
             sys.exit("not running under -O")
         try:
         %s
-        except HalinOlaError:
-            sys.exit(0)
+        except HalinOlaError as exc:
+            sys.exit(0 if %r in (None, str(exc)) else f"wrong error: {exc}")
         sys.exit("faulty layout returned without an error")
-    """) % textwrap.indent(textwrap.dedent(body), "    ")
+    """) % (textwrap.indent(textwrap.dedent(body), "    "), message)
     src = str(Path(halin_ola.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -237,7 +240,47 @@ class TestDirect:
         """)
 
 
+# a real fault in each construction: its first two entries exchanged after
+# the real emitter or walk.  A skipped walk from rbt_ola's layout, or an
+# unmirrored emitter, still meets the bound, as rbt_ola's layout does.
+_EXCHANGE_FIRST_TWO = {
+    "direct": """
+        real = halin_arrange._balanced_layout
+        def faulty(tree, mirror):
+            order = list(real(tree, mirror).vertex_at)
+            order[:2] = order[1::-1]
+            return Layout(tuple(order))
+        halin_arrange._balanced_layout = faulty
+        direct_rbt_halin_ola(gen_kary_rbt_halin(3, 2, 3))
+    """,
+    "rearranged": """
+        real = halin_arrange._walk
+        def faulty(tree, order, plan):
+            real(tree, order, plan)
+            order[:2] = order[1::-1]
+        halin_arrange._walk = faulty
+        rearrange_to_halin_ola(gen_kary_rbt_halin(3, 2, 3))
+    """,
+}
+
+
+@pytest.mark.parametrize("what", sorted(_EXCHANGE_FIRST_TWO))
+def test_bound_check_refuses_a_faulty_construction(what, monkeypatch):
+    body = _EXCHANGE_FIRST_TWO[what]
+    message = f"{what} layout misses the bound: (tree, cycle) = (45, 40), needs (43, 42)"
+    for name in ("_balanced_layout", "_walk"):  # restored after the test
+        monkeypatch.setattr(halin_arrange, name, getattr(halin_arrange, name))
+    with pytest.raises(HalinOlaError) as caught:
+        exec(textwrap.dedent(body), dict(vars(halin_ola)))
+    assert str(caught.value) == message
+    _raises_under_optimize(body, message)
+
+
 class TestScramble:
+    def test_one_vertex_tree(self):
+        tree = EmbeddedTree(0, ((),))
+        assert scramble_tree_ola(tree, rbt_ola(tree), seed=1) == Layout((0,))
+
     def test_preserves_tree_cost_and_differs(self):
         h = gen_kary_rbt_halin(3, 2, 4)
         base = rbt_ola(h.tree)
@@ -361,6 +404,12 @@ class TestCertify:
         assert not cert.optimal
         assert cert.layout_cost > 14
         assert "bound" in cert.reason
+
+    def test_tree_optimum_too_high(self):
+        h = gen_wheel(3)
+        cert = certify(h, direct_rbt_halin_ola(h), 5)  # LA*(K_{1,3}) is 4
+        assert (cert.optimal, cert.layout_cost, cert.lower_bound) == (False, 10, 11)
+        assert cert.reason == "cost 10 < bound 11: tree_opt_cost is not the true tree optimum"
 
     def test_bound_not_attained_is_not_disproof(self):
         # non-balanced substrate whose optimum exceeds the bound

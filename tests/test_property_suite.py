@@ -239,6 +239,32 @@ def test_mirror_and_endpoint_facts_on_random_halins(n, seed):
     _assert_mirror_and_endpoint_facts(h, brute_force_ola(h).optimal_layouts)
 
 
+def test_run_suite_reports_contiguity_overlap_bound_and_error(monkeypatch):
+    # stand-ins fail every optimum's contiguity and branch checks and raise
+    # the bound one above the optimum; an instance past the oracle's limit
+    # becomes the table's ERROR row
+    real_bound = property_suite.halin_lower_bound
+    monkeypatch.setattr(property_suite, "_blocks_in_order", lambda pos, blocks: False)
+    monkeypatch.setattr(property_suite, "_sides_disjoint", lambda sides: False)
+    monkeypatch.setattr(property_suite, "halin_lower_bound",
+                        lambda h, tree_opt: real_bound(h, tree_opt) + 1)
+    specs = [GenSpec("wheel", (("spokes", s),)) for s in (3, 12)]
+    report = run_suite([(spec, generate(spec)) for spec in specs])
+    k4 = report.entries[0]
+    assert (k4.contiguity_failures, k4.monotone_failures, k4.branch_failures,
+            k4.branch_vacuous_passes, k4.optima_checked) == (24, 0, 24, 0, 24)
+    assert not k4.passed and k4.bound_tight is False
+    spec = specs[0].to_jsonable()
+    assert k4.counterexamples[0] == {"layout": [0, 1, 2, 3], "genSpec": spec,
+                                     "failedChecks": ["contiguity", "branch-overlap"]}
+    assert k4.counterexamples[24:] == [
+        {"boundViolation": {"optimalCost": 10, "lowerBound": 11}, "genSpec": spec}]
+    assert report.table().splitlines()[2:] == [
+        "wheel(spokes=3)                4    10    11 false      24    FAIL  repaired",
+        "wheel(spokes=12)             ERROR: n=13 exceeds oracle limit 10",
+        "overall: FAIL"]
+
+
 def test_counterexamples_digest(monkeypatch):
     # Failing checks on a fixed set of layouts pin the tallies and the order
     # of counterexamples.  The monotone stand-in fails when vertex 1 sits

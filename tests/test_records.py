@@ -30,7 +30,6 @@ from halin_ola import (
     SwapTrace,
     build_embedded_tree,
 )
-from halin_ola._record import field
 
 STAR = build_embedded_tree(0, {0: [1, 2, 3]})
 
@@ -176,14 +175,6 @@ def test_preorder_not_compared_nor_shown():
         EmbeddedTree(root=0, children=((),), _preorder=(0,))
     with pytest.raises(AttributeError):
         a._preorder = ()
-
-
-def test_field_takes_only_a_factory():
-    for option in ("init", "repr", "compare", "default"):
-        with pytest.raises(TypeError):
-            field(default_factory=list, **{option: False})
-    with pytest.raises(TypeError):
-        field()
 
 
 def test_defaults():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from halin_ola import (
     BadParam,
+    EmbeddedTree,
+    HalinGraph,
     Layout,
     NotRecursivelyBalanced,
     OracleResult,
@@ -22,6 +24,7 @@ from halin_ola import (
     gen_kary_rbt_halin,
     gen_wheel,
     is_recursively_balanced,
+    la_cost,
     la_total,
     rbt_ola,
     standard_corpus,
@@ -89,6 +92,30 @@ class TestRbtOla:
     def test_rejects_non_rbt(self):
         with pytest.raises(NotRecursivelyBalanced):
             rbt_ola(build_embedded_tree(0, {0: [1, 2], 1: [3]}))
+
+    def test_one_vertex_tree(self):
+        assert rbt_ola(EmbeddedTree(0, ((),))) == Layout((0,))
+
+    @pytest.mark.parametrize("family", ["kary", "wheel", "unequal-shapes"])
+    def test_own_layout_meets_the_halin_bound(self, family):
+        # the emitter writes leaves in embedding order, the cycle order, and
+        # both end positions hold leaves (every inner vertex of a substrate
+        # has two or more children), so the cycle costs 2(n - 1)
+        if family == "kary":
+            graphs = [gen_kary_rbt_halin(k, c, h) for k in range(3, 8)
+                      for c in range(2, 6) for h in range(1, 6)]
+        elif family == "wheel":
+            graphs = [gen_wheel(s) for s in range(3, 40)]
+        else:  # equal-size siblings of different shape: K_{1,6} and binary trees
+            graphs = [HalinGraph(build_embedded_tree(0, {
+                0: [1, 8, 15], 1: [2, 3, 4, 5, 6, 7], 8: [9, 12], 9: [10, 11],
+                12: [13, 14], 15: [16, 19], 16: [17, 18], 19: [20, 21]}))]
+        for h in graphs:
+            report = la_cost(h, rbt_ola(h.tree))
+            tree_opt = report.tree_cost
+            if h.n <= 12:  # LA*(T) from the exact oracle where it is cheap
+                tree_opt = brute_force_ola(h.tree, limit=12, layout_cap=0).optimal_cost
+            assert (report.tree_cost, report.cycle_cost) == (tree_opt, 2 * (h.n - 1)), h
 
     def test_certificate_and_touches_pinned(self):
         # only rbt_ola counts touches: 2n for the certificate, n for the emitter
