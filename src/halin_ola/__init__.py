@@ -62,7 +62,6 @@ from .halin_arrange import (
     rearrange_to_halin_ola,
     replay_trace,
     scramble_tree_ola,
-    subtree_vertices,
 )
 from .generators import (
     GenSpec,

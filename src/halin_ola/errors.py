@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all halin_ola modules."""
+"""Exception hierarchy shared by all halin_ola modules, and their one int check."""
 
 
 class HalinOlaError(Exception):
@@ -53,6 +53,13 @@ class TooLarge(HalinOlaError):
 
 class BadParam(HalinOlaError):
     pass
+
+
+def _check_ints(**params: int) -> None:
+    # bool is an int subclass, so the test is on the exact type
+    for name, value in params.items():
+        if type(value) is not int:
+            raise BadParam(f"{name} must be an int, got {value!r}")
 
 
 # -- file formats ------------------------------------------------------------

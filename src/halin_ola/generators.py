@@ -11,7 +11,7 @@ from itertools import product
 from typing import List, Sequence, Tuple
 
 from ._record import record
-from .errors import BadParam, TooLarge
+from .errors import BadParam, TooLarge, _check_ints
 from .graph_core import EmbeddedTree, HalinGraph, halin_from_tree
 
 
@@ -19,13 +19,6 @@ from .graph_core import EmbeddedTree, HalinGraph, halin_from_tree
 # instance.  Each generator checks its n (random: the most it can reach) after
 # validating its parameters and before it allocates anything.
 MAX_GEN_N = 1 << 20
-
-
-def _check_ints(**params: int) -> None:
-    # bool is an int subclass, so the test is on the exact type
-    for name, value in params.items():
-        if type(value) is not int:
-            raise BadParam(f"{name} must be an int, got {value!r}")
 
 
 def _check_size(family: str, n: int) -> None:

@@ -17,7 +17,8 @@ import random
 from typing import List, Optional, Tuple
 
 from ._record import record
-from .errors import HalinOlaError, NotContiguous, NotRecursivelyBalanced, NotTreeOptimalInput
+from .errors import (HalinOlaError, NotContiguous, NotRecursivelyBalanced, NotTreeOptimalInput,
+                     _check_ints)
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 from .layout_ops import Layout, _check_same_size, la_cost, la_total, reverse_block, sigma_swap
 from .tree_ola import _balanced_layout, rbt_ola
@@ -101,26 +102,17 @@ class SwapTrace:
     total_moved_vertices: int
 
 
-def subtree_vertices(tree: EmbeddedTree, v: VertexId) -> List[VertexId]:
-    out = []
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        out.append(x)
-        stack.extend(tree.children[x])
-    return out
-
-
 def replay_trace(tree: EmbeddedTree, start: Layout, trace: SwapTrace) -> Layout:
     """Re-apply a trace step by step with the block operators.
 
     Slow (rebuilds a layout per step) but definitionally faithful; used to
     audit that the fast in-place walk and the trace agree.
     """
+    pre, size = tree._preorder, tree.subtree_sizes
+    at = {v: i for i, v in enumerate(pre)}  # v's subtree is a preorder slice
     layout = start
     for step in trace.steps:
-        a = subtree_vertices(tree, step.block_a)
-        b = subtree_vertices(tree, step.block_b)
+        a, b = (pre[at[v]:at[v] + size[v]] for v in (step.block_a, step.block_b))
         layout = sigma_swap(layout, a, b)
         if step.reversed_pair:
             layout = reverse_block(layout, a)
@@ -310,11 +302,13 @@ def scramble_tree_ola(tree: EmbeddedTree, layout: Layout, seed: int) -> Layout:
     exchanges.  Useful for producing inputs whose rearrangement trace is
     non-trivial.  Nothing is recorded: the shuffle keeps no trace.
 
-    Raises BadParam, before the walk, when the layout's size is not the
-    tree's, and NotContiguous when ``layout`` is not block-structured.
-    Neither balance nor cost is checked first, so each of the walk's
-    refusals is reachable here.
+    Raises BadParam, before the walk, when ``seed`` is not an ``int`` or is
+    a bool (``None`` would draw a seed from the operating system) and when
+    the layout's size is not the tree's, and NotContiguous when ``layout``
+    is not block-structured.  Neither balance nor cost is checked first, so
+    each of the walk's refusals is reachable here.
     """
+    _check_ints(seed=seed)
     _check_same_size(tree, layout)
     rng = random.Random(seed)
 

@@ -122,7 +122,7 @@ def sigma_swap(layout: Layout, block_a: Iterable[VertexId],
     difference.  After the swap the (originally) later block starts where the
     earlier one did, and the earlier block ends where the later one did.
     Raises BadParam for a block vertex outside 0..n-1, NotContiguous for an
-    empty or scattered block, and Overlapping for blocks that meet.
+    empty or scattered block, and Overlapping for blocks that share a vertex.
     """
     a = set(block_a)
     b = set(block_b)
@@ -132,8 +132,6 @@ def sigma_swap(layout: Layout, block_a: Iterable[VertexId],
     b_lo, b_hi = _contiguous_range(layout, b)
     if a_lo > b_lo:
         a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
-    if a_hi >= b_lo:
-        raise Overlapping("block position ranges overlap")
 
     order = list(layout.vertex_at)
     seg_a = order[a_lo - 1:a_hi]

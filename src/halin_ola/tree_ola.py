@@ -13,7 +13,7 @@ from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
 from ._record import record
-from .errors import BadParam, NotRecursivelyBalanced, TooLarge
+from .errors import BadParam, NotRecursivelyBalanced, TooLarge, _check_ints
 from .graph_core import EmbeddedTree, VertexId
 from .layout_ops import Layout
 
@@ -315,12 +315,14 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
     so a cap below the default lists the default list cut to that cap.  A
     negative cap raises BadParam.
 
-    Raises TooLarge when n exceeds ``limit`` (default 10), and whatever
-    ``limit`` says, when n exceeds ``_ORACLE_MAX_N``, before allocating.
-    Raises BadParam, after those checks and before allocating, when an edge
-    repeats in either orientation; no ``EmbeddedTree`` or ``HalinGraph``
-    repeats one.
+    Raises BadParam first when ``limit`` or ``layout_cap`` is not an ``int``
+    or is a bool.  Raises TooLarge when n exceeds ``limit`` (default 10),
+    and whatever ``limit`` says, when n exceeds ``_ORACLE_MAX_N``, before
+    allocating.  Raises BadParam, after those checks and before allocating,
+    when an edge repeats in either orientation; no ``EmbeddedTree`` or
+    ``HalinGraph`` repeats one.
     """
+    _check_ints(limit=limit, layout_cap=layout_cap)
     n = g.n
     if layout_cap < 0:
         raise BadParam(f"layout_cap must be >= 0, got {layout_cap}")

@@ -236,6 +236,16 @@ class TestParseErrorMessages:
         with pytest.raises(ParseError, match="^'tree' needs integer 'root' and object"):
             parse_instance(_instance_bytes({"root": 0, "children": [[1, 2, 3]]}))
 
+    @pytest.mark.parametrize("parse, data, message", [
+        (parse_instance, b'{"schemaVersion": 1, "tree": [1]}',
+         "missing or malformed 'tree' object"),
+        (parse_layout, b"[0, 1]", "layout file must be a JSON object"),
+    ], ids=["tree-not-object", "layout-not-object"])
+    def test_document_shape(self, parse, data, message):
+        with pytest.raises(ParseError) as exc:
+            parse(data)
+        assert str(exc.value) == message
+
 
 def _relabeled_halin(data, max_n):
     """A random Halin graph under a random relabelling of its vertices."""
@@ -624,6 +634,13 @@ class TestCliPipeline:
         out = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in out[2:-1]] == [name]
         assert out[-1] == "overall: PASS"
+
+    def test_blank_corpus_entry_skipped(self, capsys):
+        assert main(["proptest", "--corpus", "wheel=3; ;wheel=4"]) == 0
+        blank = capsys.readouterr()
+        assert main(["proptest", "--corpus", "wheel=3;wheel=4"]) == 0
+        assert blank == capsys.readouterr()
+        assert blank.out.count("wheel(") == 2
 
     def test_unknown_corpus_family_exit_1(self, capsys):
         assert main(["proptest", "--corpus", "wheel=3;star=3"]) == 1

@@ -84,6 +84,10 @@ class TestCaterpillar:
         with pytest.raises(BadParam):
             gen_caterpillar_halin(2, [2])
 
+    def test_empty_spine(self):
+        with pytest.raises(BadParam, match="^spine length must be >= 1, got 0$"):
+            gen_caterpillar_halin(0, [])
+
     def test_enumeration_bounded_and_valid(self):
         cats = all_caterpillar_halins_up_to(9)
         assert cats  # non-empty

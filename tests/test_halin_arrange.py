@@ -157,11 +157,13 @@ class TestRearrange:
         out, trace = rearrange_to_halin_ola(h, start)
         base = la_total(h.tree, start)
         cur = start
-        from halin_ola import reverse_block, sigma_swap, subtree_vertices
+        from halin_ola import reverse_block, sigma_swap
 
+        pre, size = h.tree._preorder, h.tree.subtree_sizes
         for step in trace.steps:
-            a = subtree_vertices(h.tree, step.block_a)
-            b = subtree_vertices(h.tree, step.block_b)
+            i, j = pre.index(step.block_a), pre.index(step.block_b)
+            a = pre[i:i + size[step.block_a]]
+            b = pre[j:j + size[step.block_b]]
             cur = sigma_swap(cur, a, b)
             if step.reversed_pair:
                 cur = reverse_block(cur, a)
@@ -301,6 +303,15 @@ class TestScramble:
         # unchecked, the walk would return a layout that is not of the tree
         with pytest.raises(BadParam, match=f"layout has {len(order)} vertices, graph has 4"):
             scramble_tree_ola(gen_wheel(3).tree, Layout(order), seed=1)
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "1"], ids=["None", "bool", "float", "str"])
+    def test_seed_of_another_type_refused(self, seed):
+        # None would draw a seed from the operating system, so two equal
+        # calls would return different layouts
+        tree = gen_kary_rbt_halin(3, 2, 2).tree
+        with pytest.raises(BadParam) as exc:
+            scramble_tree_ola(tree, rbt_ola(tree), seed=seed)
+        assert str(exc.value) == f"seed must be an int, got {seed!r}"
 
     @pytest.mark.parametrize("tree, order, message", [
         (gen_kary_rbt_halin(3, 2, 2).tree, (0, 1, 5, 6, 3, 7, 4, 8, 2, 9),

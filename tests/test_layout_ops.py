@@ -132,6 +132,10 @@ class TestBlockOps:
         with pytest.raises(NotContiguous):
             sigma_swap(Layout(tuple(range(5))), [0, 2], [3, 4])
 
+    def test_empty_block_rejected(self):
+        with pytest.raises(NotContiguous, match="^empty block$"):
+            sigma_swap(Layout((0, 1, 2)), [], [0])
+
     def test_overlapping_rejected(self):
         with pytest.raises(Overlapping):
             sigma_swap(Layout(tuple(range(5))), [0, 1], [1, 2])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from halin_ola import (
     brute_force_ola,
     check_extremes_are_leaves,
     gen_caterpillar_halin,
+    gen_kary_rbt_halin,
     gen_random_halin,
     gen_wheel,
     generate,
@@ -101,6 +103,16 @@ class TestExtremes:
         lay = Layout((1, 0, 2, 3, 4, 5))  # spine vertex 1 has leaf children 4,5
         verdict = check_extremes_are_leaves(h, lay)
         assert verdict is ExtremesVerdict.VIOLATION
+
+    @pytest.mark.parametrize("h, first", [
+        (gen_wheel(4), 0),  # the hub has tree degree 4
+        (gen_kary_rbt_halin(3, 2, 3), 1),  # degree 3, but no leaf child
+    ], ids=["degree-not-3", "too-few-leaf-children"])
+    def test_violation_when_no_relabel_applies(self, h, first):
+        # an internal first vertex that no leaf-child swap can replace; the
+        # last vertex, n - 1, is a leaf
+        lay = Layout((first, *(v for v in range(h.n) if v != first)))
+        assert check_extremes_are_leaves(h, lay) is ExtremesVerdict.VIOLATION
 
 
 class TestRunSuite:

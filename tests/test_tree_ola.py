@@ -301,6 +301,15 @@ class TestOracle:
             with pytest.raises(BadParam):
                 brute_force_ola(star(3), pruned=pruned, layout_cap=-1)
 
+    @pytest.mark.parametrize("value", [None, True, 10.0])
+    @pytest.mark.parametrize("option", ["limit", "layout_cap"])
+    def test_limits_of_another_type_refused(self, option, value):
+        # unchecked, None ends in a TypeError from a comparison and True
+        # is taken as 1
+        with pytest.raises(BadParam) as exc:
+            brute_force_ola(gen_wheel(3), **{option: value})
+        assert str(exc.value) == f"{option} must be an int, got {value!r}"
+
     @pytest.mark.parametrize("bad", [5, -1])
     def test_vertex_ids_out_of_range(self, bad):
         for pruned in (True, False):
