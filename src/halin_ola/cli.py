@@ -84,14 +84,15 @@ def _load_layout(path: str, h: HalinGraph) -> Layout:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-# the gen options each family requires, as its usage error lists them
-_GEN_OPTIONS = {"wheel": ("spokes",), "kary": ("k", "c", "h"),
-                "caterpillar": ("spine", "leaves"), "random": ("n",)}
-
-# the proptest --corpus entry grammar, by family
-_CORPUS_ENTRY = {"wheel": "wheel=S or wheel=LO..HI", "kary": "kary=K,C,H",
-                 "caterpillar": "caterpillar=SPINE:L0,L1,...",
-                 "random": "random=N[,COUNT[,SEED0]]"}
+# by family: its gen options, as its usage error lists them, and its --corpus grammar
+_FAMILIES = {"wheel": (("spokes",), "wheel=S or wheel=LO..HI"),
+             "kary": (("k", "c", "h"), "kary=K,C,H"),
+             "caterpillar": (("spine", "leaves"), "caterpillar=SPINE:L0,L1,..."),
+             "random": (("n",), "random=N[,COUNT[,SEED0]]")}
+# gen's flags in table order, then random's seed; each an int unless set here
+_GEN_FLAGS = (*(name for names, _ in _FAMILIES.values() for name in names), "seed")
+_GEN_FLAG_ARGS = {"leaves": {"help": "comma-separated leaf counts per spine vertex"},
+                  "seed": {"type": int, "help": "random only; defaults to 0"}}
 
 
 def _listed(names: Sequence[str]) -> str:
@@ -100,12 +101,11 @@ def _listed(names: Sequence[str]) -> str:
 
 
 def _cmd_gen(args) -> int:
-    names = _GEN_OPTIONS[args.family]
+    names = _FAMILIES[args.family][0]
     if any(getattr(args, name) is None for name in names):
         raise BadParam(f"gen --family {args.family} requires {_listed(names)}")
     own = (*names, "seed") if args.family == "random" else names
-    foreign = [name for family_names in (*_GEN_OPTIONS.values(), ("seed",))
-               for name in family_names if name not in own and getattr(args, name) is not None]
+    foreign = [name for name in _GEN_FLAGS if name not in own and getattr(args, name) is not None]
     if foreign:
         raise BadParam(f"gen --family {args.family} does not take {_listed(foreign)}")
     if args.family == "caterpillar":
@@ -245,13 +245,13 @@ def _corpus_entries(spec_text: str) -> Iterator[Tuple[range, Callable[[int], Gen
         if "=" not in chunk:
             raise BadParam(f"bad corpus entry {chunk!r} (expected family=args)")
         family, argtext = chunk.split("=", 1)
-        if family not in _CORPUS_ENTRY:
+        if family not in _FAMILIES:
             raise BadParam(f"unknown corpus family {family!r}")
         try:
             entry = _corpus_entry(family, argtext)
         except ValueError:
             raise BadParam(f"bad corpus entry {chunk!r} "
-                           f"(expected {_CORPUS_ENTRY[family]})") from None
+                           f"(expected {_FAMILIES[family][1]})") from None
         yield entry
 
 
@@ -300,16 +300,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("--family", required=True,
-                   choices=["wheel", "kary", "caterpillar", "random"])
-    p.add_argument("--spokes", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--spine", type=int)
-    p.add_argument("--leaves", help="comma-separated leaf counts per spine vertex")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, help="random only; defaults to 0")
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
+    for name in _GEN_FLAGS:
+        p.add_argument(f"--{name}", **_GEN_FLAG_ARGS.get(name, {"type": int}))
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -348,7 +341,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("proptest", help="run the structural property suite")
     p.add_argument("--corpus", default="standard",
                    help='"standard", or ";"-separated entries, each one of '
-                        + ", ".join(_CORPUS_ENTRY.values())
+                        + ", ".join(grammar for _, grammar in _FAMILIES.values())
                         + ' (e.g. "wheel=3..8;caterpillar=2:2,2;random=7,5,100"),'
                         + f" {MAX_CORPUS_INSTANCES} instances at most")
     p.add_argument("--oracle-limit", type=int, default=10)

@@ -10,7 +10,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Tuple, Union
 
 from ._record import record
-from .errors import BadParam, NotContiguous, Overlapping
+from .errors import BadParam, NotContiguous, Overlapping, _check_ints
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 
 
@@ -101,6 +101,12 @@ def _check_same_size(g: GraphLike, layout: Layout) -> None:
         raise BadParam(f"layout has {layout.n} vertices, graph has {g.n}")
 
 
+def _vertex_set(block: Iterable[VertexId], name: str) -> AbstractSet[VertexId]:
+    block = tuple(block)  # checked before set() folds True into 1
+    _check_ints(**{f"{name}[{i}]": v for i, v in enumerate(block)})
+    return set(block)
+
+
 def _contiguous_range(layout: Layout, block: AbstractSet[VertexId]) -> Tuple[int, int]:
     outside = sorted(v for v in block if not 0 <= v < layout.n)
     if outside:
@@ -121,11 +127,11 @@ def sigma_swap(layout: Layout, block_a: Iterable[VertexId],
     Blocks may differ in size: the vertices between them shift by the size
     difference.  After the swap the (originally) later block starts where the
     earlier one did, and the earlier block ends where the later one did.
-    Raises BadParam for a block vertex outside 0..n-1, NotContiguous for an
-    empty or scattered block, and Overlapping for blocks that share a vertex.
+    Raises BadParam for a block vertex that is not an ``int``, or is a bool,
+    before any other check, and for one outside 0..n-1; NotContiguous for an
+    empty or scattered block; Overlapping for blocks that share a vertex.
     """
-    a = set(block_a)
-    b = set(block_b)
+    a, b = _vertex_set(block_a, "block_a"), _vertex_set(block_b, "block_b")
     if a & b:
         raise Overlapping(f"blocks share vertices {sorted(a & b)}")
     a_lo, a_hi = _contiguous_range(layout, a)
@@ -144,7 +150,7 @@ def sigma_swap(layout: Layout, block_a: Iterable[VertexId],
 def reverse_block(layout: Layout, block: Iterable[VertexId]) -> Layout:
     """Reverse the inner order of one contiguous position block (raises as
     ``sigma_swap`` does for a bad block)."""
-    lo, hi = _contiguous_range(layout, set(block))
+    lo, hi = _contiguous_range(layout, _vertex_set(block, "block"))
     order = list(layout.vertex_at)
     order[lo - 1:hi] = reversed(order[lo - 1:hi])
     return Layout(tuple(order))

@@ -515,6 +515,50 @@ class TestCliPipeline:
         assert main(argv) == 0
         assert capsys.readouterr() == (top.format_help(), "")
 
+    def test_gen_flags_pinned(self):
+        # rendered help varies with the Python version and COLUMNS; the
+        # actions it is rendered from do not
+        gen = cli.build_parser()._subparsers._group_actions[0].choices["gen"]
+        assert [(a.option_strings, a.type, a.help, a.choices, a.required)
+                for a in gen._actions] == [
+            (["-h", "--help"], None, "show this help message and exit", None, False),
+            (["--family"], None, None, ["wheel", "kary", "caterpillar", "random"], True),
+            (["--spokes"], int, None, None, False),
+            (["--k"], int, None, None, False),
+            (["--c"], int, None, None, False),
+            (["--h"], int, None, None, False),
+            (["--spine"], int, None, None, False),
+            (["--leaves"], None, "comma-separated leaf counts per spine vertex", None, False),
+            (["--n"], int, None, None, False),
+            (["--seed"], int, "random only; defaults to 0", None, False),
+            (["-o", "--output"], None, None, None, True)]
+
+    def test_proptest_corpus_help_pinned(self):
+        proptest = cli.build_parser()._subparsers._group_actions[0].choices["proptest"]
+        [corpus] = [a for a in proptest._actions if a.dest == "corpus"]
+        assert corpus.help == (
+            '"standard", or ";"-separated entries, each one of wheel=S or wheel=LO..HI, '
+            'kary=K,C,H, caterpillar=SPINE:L0,L1,..., random=N[,COUNT[,SEED0]] '
+            '(e.g. "wheel=3..8;caterpillar=2:2,2;random=7,5,100"), 10000 instances at most')
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["wheel", "--spokes", "5"],
+         "ae268c27e7a1c40c233756447c5a3bc16b3c3ea4b458d3a064f80f427d0b6635"),
+        (["kary", "--k", "3", "--c", "2", "--h", "3"],
+         "62d7a895ceb983e6b2cf2f02e67cbc9f1ad34233288c0d729af35dcd9910698c"),
+        (["caterpillar", "--spine", "3", "--leaves", "3,2,4"],
+         "fc5c2cfba02997e375ab9b1b665b627755460ad7fb88dd159eaf185c7520cc7d"),
+        (["random", "--n", "30", "--seed", "7"],
+         "50acb5f8e681a48298b078a79cc81d8e4fd535f0df5298515d0b2d657fbfb1a0")],
+        ids=["wheel", "kary", "caterpillar", "random"])
+    def test_gen_file_and_stdout_digest(self, argv, digest, tmp_path, capsys, monkeypatch):
+        # the file's bytes, then gen's stdout, which names the file by its
+        # relative path
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--family", *argv, "-o", "x.json"]) == 0
+        data = (tmp_path / "x.json").read_bytes() + capsys.readouterr().out.encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     @pytest.mark.parametrize("family,message", [
         ("wheel", "--spokes"), ("kary", "--k, --c and --h"),
         ("caterpillar", "--spine and --leaves"), ("random", "--n")])

@@ -283,7 +283,10 @@ class TestSubstrateValidation:
         ({0: [1]}, ["needs >= 3 leaves, has 1", "root has 1 children, needs >= 3"]),
         ({}, ["needs >= 3 leaves, has 1", "root has 0 children, needs >= 3"]),
         ({0: [1, 2, 3], 1: [4]}, ["internal vertex 1 has 1 child, needs >= 2"]),
-    ], ids=["two-leaf-star", "one-child-root", "one-vertex", "unary-internal"])
+        ({0: [1, 2], 1: [3]}, ["needs >= 3 leaves, has 2", "root has 2 children, needs >= 3",
+                               "internal vertex 1 has 1 child, needs >= 2"]),
+    ], ids=["two-leaf-star", "one-child-root", "one-vertex", "unary-internal",
+            "two-child-root-unary-internal"])
     def test_halin_graph_checks_its_tree(self, child_lists, violations):
         tree = build_embedded_tree(0, child_lists)
         for build in (HalinGraph, halin_from_tree):

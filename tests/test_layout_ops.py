@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,20 @@ class TestBlockOps:
             sigma_swap(Layout((0, 1, 2)), [vertex], [1])
         with pytest.raises(BadParam, match=message):
             reverse_block(Layout((0, 1, 2)), [vertex, 0])
+
+    @pytest.mark.parametrize("vertex", [1.0, "x", True])
+    def test_block_vertex_of_another_type_rejected(self, vertex):
+        # unchecked, 1.0 and "x" end in a TypeError and True is read as vertex 1
+        lay, got = Layout((0, 1, 2)), re.escape(f"[0] must be an int, got {vertex!r}")
+        with pytest.raises(BadParam, match=f"^block_a{got}$"):
+            sigma_swap(lay, [vertex], [2])
+        with pytest.raises(BadParam, match=f"^block{got}$"):
+            reverse_block(lay, [vertex])
+
+    def test_bool_block_vertex_rejected_before_the_overlap_test(self):
+        # set() would fold True into 1, so the blocks would look shared
+        with pytest.raises(BadParam, match=r"^block_a\[0\] must be an int, got True$"):
+            sigma_swap(Layout((0, 1, 2)), [True], [1])
 
     def test_reverse_block(self):
         out = reverse_block(Layout(tuple(range(5))), [1, 2, 3])

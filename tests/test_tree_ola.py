@@ -29,6 +29,7 @@ from halin_ola import (
     rbt_ola,
     standard_corpus,
 )
+from halin_ola import tree_ola
 from halin_ola.tree_ola import LAYOUT_CAP
 
 
@@ -198,6 +199,25 @@ class TestOracle:
         want = OracleResult(0, (Layout(()),)[:cap], 1, 1)
         for pruned in (True, False):
             assert brute_force_ola(SimpleGraph(0, ()), pruned=pruned, layout_cap=cap) == want
+
+    @pytest.mark.parametrize("cap", [0, 1, LAYOUT_CAP])
+    def test_one_vertex_graph(self, cap):
+        # both paths give the scan's result: the one layout (0,), of cost 0
+        want = OracleResult(0, (Layout((0,)),)[:cap], 1, 1)
+        for pruned in (True, False):
+            assert brute_force_ola(SimpleGraph(1, ()), pruned=pruned, layout_cap=cap) == want
+
+    def test_states_explored_pinned(self):
+        # 2^n subsets for the DP, n! permutations for the scan; n = 6
+        assert brute_force_ola(gen_wheel(5)).states_explored == 64
+        assert brute_force_ola(gen_wheel(5), pruned=False).states_explored == 720
+
+    def test_hard_ceiling_admits_n_at_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(tree_ola, "_ORACLE_MAX_N", 6)
+        for pruned in (True, False):
+            assert brute_force_ola(gen_wheel(5), limit=20, pruned=pruned).optimal_cost == 19
+            with pytest.raises(TooLarge, match="^n=7 exceeds the oracle's hard ceiling 6$"):
+                brute_force_ola(gen_wheel(6), limit=20, pruned=pruned)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 6))
