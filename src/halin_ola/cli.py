@@ -138,9 +138,12 @@ def _print_cost(h: HalinGraph, layout) -> None:
 def _cmd_solve(args) -> int:
     if args.tree_layout is not None and args.method != "rearrange":
         raise BadParam("-t/--tree-layout applies only to --method rearrange")
+    if args.limit is not None and args.method != "oracle":
+        raise BadParam("--limit applies only to --method oracle")
     h = _load_instance(args.input)
     if args.method == "oracle":
-        layout = brute_force_ola(h, limit=args.limit, layout_cap=1).optimal_layouts[0]
+        limit = 10 if args.limit is None else args.limit
+        layout = brute_force_ola(h, limit=limit, layout_cap=1).optimal_layouts[0]
     elif args.method == "rbt":
         layout = rbt_ola(h.tree)
     elif args.method == "direct":
@@ -178,6 +181,8 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int, advice: str = "")
 
 
 def _cmd_bound(args) -> int:
+    if args.limit is not None and args.tree_opt is not None:
+        raise BadParam("--limit does not apply with --tree-opt")
     h = _load_instance(args.input)
     if args.tree_opt is not None:
         tree_opt = args.tree_opt
@@ -185,7 +190,8 @@ def _cmd_bound(args) -> int:
             raise BadParam(f"--tree-opt {tree_opt} is below n-1 = {h.n - 1}, "
                            "the least cost of any tree layout")
     else:
-        tree_opt = _tree_optimum(h, args.oracle, args.limit, "; pass --tree-opt")
+        limit = 10 if args.limit is None else args.limit
+        tree_opt = _tree_optimum(h, args.oracle, limit, "; pass --tree-opt")
     print(halin_lower_bound(h, tree_opt))
     return 0
 
@@ -313,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("-t", "--tree-layout",
                    help="optimal tree layout file (rearrange only)")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--limit", type=int, default=10, help="oracle size limit")
+    p.add_argument("--limit", type=int, help="oracle size limit")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("cost", help="cost breakdown of a layout")
@@ -327,7 +333,7 @@ def build_parser() -> _Parser:
     group.add_argument("--tree-opt", type=int, help="known optimal tree cost")
     group.add_argument("--oracle", action="store_true",
                        help="compute the tree optimum with the exact oracle")
-    p.add_argument("--limit", type=int, default=10, help="oracle size limit")
+    p.add_argument("--limit", type=int, help="oracle size limit")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="certify a layout against the bound")

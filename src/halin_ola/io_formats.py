@@ -15,7 +15,8 @@ from collections import Counter
 from itertools import chain, islice
 from typing import BinaryIO, Iterator, List, Optional, Tuple
 
-from .errors import ParseError, SchemaVersionUnsupported
+from . import generators
+from .errors import ParseError, SchemaVersionUnsupported, TooLarge
 from .graph_core import HalinGraph, _place_child_lists, halin_from_tree
 from .layout_ops import Layout
 
@@ -36,7 +37,24 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+def _max_file_bytes() -> int:
+    # With d the digits of MAX_GEN_N, a canonical file spends on each vertex
+    # at most a child or layout line (d + 10 bytes) and, on at most half the
+    # vertices (the internal ones), a child-map entry frame (d + 21) and a
+    # caterpillar's line of gen metadata (2d + 15): under 3d + 30 bytes in
+    # all.  The 1 KiB holds the fixed framing and a seed of up to 700 digits.
+    ceiling = generators.MAX_GEN_N
+    return (3 * len(str(ceiling)) + 30) * ceiling + 1024
+
+
+def _check_n(n: int, what: str) -> None:
+    if n > generators.MAX_GEN_N:
+        raise TooLarge(f"{what} has {n} vertices, above the ceiling of {generators.MAX_GEN_N}")
+
+
 def _load_json(data: bytes) -> object:
+    if len(data) > _max_file_bytes():  # before decoding
+        raise TooLarge(f"file has {len(data)} bytes, above the cap of {_max_file_bytes()}")
     sizes: List[int] = []  # keys per decoded object
     try:
         text = data.decode("utf-8")
@@ -79,7 +97,8 @@ def parse_instance(data: bytes) -> HalinGraph:
     Unknown fields are rejected, and the root, the child-map keys and the
     children must be JSON integers (ParseError).  The tree's n is 1 + the
     number of listed children, and a root, key or child outside 0..n-1 is
-    refused.  Raises ParseError, SchemaVersionUnsupported, what
+    refused.  Raises TooLarge for a file past the byte cap or an n above
+    ``generators.MAX_GEN_N``, ParseError, SchemaVersionUnsupported, what
     ``build_embedded_tree`` raises (structural faults named in vertex-id
     order), or InvalidSubstrate.
     """
@@ -105,6 +124,7 @@ def _child_map(children_doc: dict) -> Tuple[List[int], List[List[int]]]:
 
     Keys must be canonical integers and values integer arrays; only when a
     pass fails is the map walked key by key, to name the first offender.
+    Then 1 + the children listed, the tree's n, must be within the ceiling.
     """
     keys = list(children_doc)
     lists = list(children_doc.values())
@@ -116,6 +136,7 @@ def _child_map(children_doc: dict) -> Tuple[List[int], List[List[int]]]:
     if not (canonical and set(map(type, lists)) <= {list}
             and set(map(type, chain.from_iterable(lists))) <= _INT):
         _raise_first_bad_key(children_doc)
+    _check_n(1 + sum(map(len, lists)), "instance")
     return ids, lists
 
 
@@ -174,6 +195,7 @@ def parse_layout(data: bytes) -> Layout:
     arr = doc.get("vertexAt")
     if type(arr) is not list or not set(map(type, arr)) <= _INT:
         raise ParseError("'vertexAt' must be an integer array")
+    _check_n(len(arr), "layout")
     try:
         return Layout(tuple(arr))
     except ValueError as exc:

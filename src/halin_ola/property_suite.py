@@ -7,7 +7,7 @@ both extreme positions hold tree leaves (up to a degree-3 relabel).  The
 suite runs these checks against every brute-force optimum of a corpus and
 reports violations with full counterexamples.  Its public route is
 ``run_suite`` plus ``check_extremes_are_leaves``; the spinal decomposition
-and the three lemma checks on it are private to this module.
+and the one pass that checks the lemmas on it are private to this module.
 """
 
 from __future__ import annotations
@@ -26,15 +26,15 @@ from .tree_ola import brute_force_ola
 
 def _spine(tree: EmbeddedTree, first: VertexId, last: VertexId) -> tuple:
     """The spinal decomposition of a layout that starts at ``first`` and ends
-    at ``last``, as vertex tuples: (path, subtrees, branches).
+    at ``last``, as vertex tuples: (path, branches).
 
     The path is the tree path from ``first`` to ``last``.  Removing its
-    edges leaves one subtree per path vertex, subtrees[i] owning path[i];
-    removing path[i] from its subtree leaves the branches anchored at it,
-    branches[i] holding the vertices of each.  The path holds the ancestors
-    of ``first`` and ``last`` up to its top vertex, so no path vertex lies
-    below a child of path[i] off it: that child's subtree, a preorder slice,
-    is a branch; the top, unless the root, anchors all outside its subtree too.
+    edges leaves one subtree per path vertex: path[i] and the branches
+    anchored at it, branches[i] holding the vertices of each.  The path holds
+    the ancestors of ``first`` and ``last`` up to its top vertex, so no path
+    vertex lies below a child of path[i] off it: that child's subtree, a
+    preorder slice, is a branch; the top, unless the root, anchors all
+    outside its subtree too.
     """
     parent, children = tree.parent, tree.children
     pre, size = tree._preorder, tree.subtree_sizes
@@ -46,7 +46,7 @@ def _spine(tree: EmbeddedTree, first: VertexId, last: VertexId) -> tuple:
     while down[-1] not in depth:
         down.append(parent[down[-1]])
     path = (*up[:depth[down[-1]]], *reversed(down))
-    subtrees, branches = [], []
+    branches = []
     for w in path:
         i = pre.index(w)
         at_w = [pre[:i] + pre[i + size[w]:]] if w == down[-1] != tree.root else []
@@ -54,72 +54,43 @@ def _spine(tree: EmbeddedTree, first: VertexId, last: VertexId) -> tuple:
             if c not in path:
                 at_w.append(pre[i + 1:i + 1 + size[c]])
             i += size[c]
-        subtrees.append((w, *(v for branch in at_w for v in branch)))
         branches.append(tuple(at_w))
-    return path, tuple(subtrees), tuple(branches)
-
-
-def _blocks_in_order(pos: Sequence[int], blocks: Sequence[Sequence[VertexId]]) -> bool:
-    """True iff every block's positions all precede the next block's."""
-    prev_max = 0
-    for block in blocks:
-        ps = [pos[v] for v in block]
-        if min(ps) <= prev_max:
-            return False
-        prev_max = max(ps)
-    return True
-
-
-def _spine_monotone(pos: Sequence[int], path: Sequence[VertexId]) -> bool:
-    prev = 0
-    for w in path:
-        if pos[w] <= prev:
-            return False
-        prev = pos[w]
-    return True
-
-
-def _branch_sides(pos: Sequence[int], spine: tuple) -> List[List[Tuple[int, int]]]:
-    """The (min, max) position span of every branch wholly left, then wholly
-    right, of its spinal vertex: two lists per spinal vertex, straddling
-    branches left out."""
-    path, _, branches_at = spine
-    sides = []
-    for w, branches in zip(path, branches_at):
-        pw = pos[w]
-        left, right = [], []
-        for br in branches:
-            ps = [pos[v] for v in br]
-            lo, hi = min(ps), max(ps)
-            if hi < pw:
-                left.append((lo, hi))
-            elif lo > pw:
-                right.append((lo, hi))
-        sides += (left, right)
-    return sides
-
-
-def _same_side_pairs(sides) -> int:
-    return sum(len(side) * (len(side) - 1) // 2 for side in sides)
-
-
-def _sides_disjoint(sides) -> bool:
-    """Same-side branches of each spinal vertex occupy disjoint blocks: of
-    every two branches on one side, one wholly precedes the other."""
-    for side in sides:
-        spans = sorted(side)
-        for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
-            if hi1 >= lo2:
-                return False
-    return True
+    return path, tuple(branches)
 
 
 def _structural_verdict(spine: tuple, pos: Sequence[int]) -> Tuple[bool, bool, bool, bool]:
-    """Contiguity, monotonicity, branch disjointness and a vacuous branch pass."""
-    sides = _branch_sides(pos, spine)
-    disjoint = _sides_disjoint(sides)
-    return (_blocks_in_order(pos, spine[1]), _spine_monotone(pos, spine[0]),
-            disjoint, disjoint and _same_side_pairs(sides) == 0)
+    """Contiguity, monotonicity, branch disjointness and a vacuous branch pass.
+
+    One walk along the path reads each branch's positions once, keeping its
+    (min, max) span.  The subtree at path vertex w spans pos[w] joined with
+    every branch span at w; the subtrees are contiguous in path order when
+    each span starts after the previous one ends.  Branches wholly before or
+    wholly after pos[w] form that side's list, and the branches on one side
+    are disjoint when their sorted spans do not overlap.  The pass is vacuous
+    when no side holds two branches.
+    """
+    contiguous = monotone = disjoint = vacuous = True
+    prev_hi = prev_pw = 0
+    for w, branches in zip(*spine):
+        pw = lo = hi = pos[w]
+        left, right = [], []
+        for branch in branches:
+            ps = [pos[v] for v in branch]
+            b_lo, b_hi = min(ps), max(ps)
+            lo, hi = min(lo, b_lo), max(hi, b_hi)
+            if b_hi < pw:
+                left.append((b_lo, b_hi))
+            elif b_lo > pw:
+                right.append((b_lo, b_hi))
+        contiguous = contiguous and lo > prev_hi
+        monotone = monotone and pw > prev_pw
+        prev_hi, prev_pw = hi, pw
+        for side in (left, right):
+            if side[1:]:
+                vacuous = False
+                side.sort()
+                disjoint = disjoint and all(a < b for (_, a), (b, _) in zip(side, side[1:]))
+    return contiguous, monotone, disjoint, disjoint and vacuous
 
 
 class ExtremesVerdict(Enum):
@@ -273,25 +244,25 @@ def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
 
     * A spinal decomposition depends only on the layout's first and last
       vertex: the spinal path is the tree path between them, and the
-      subtrees and branches are the components left when its edges are
+      branches are the components left when its edges and vertices are
       removed.  Within one instance it is computed once per endpoint pair.
     * A layout L and its reversal R = ``L.reversed()`` get the same
       contiguity, monotone, branch-overlap and vacuous-pass verdicts.  R
       puts v at position n + 1 - pos(v), and its spinal path is L's path
-      reversed, so it has the same subtrees in reverse order and the same
-      branches at every spinal vertex.  Blocks B_0, ..., B_k wholly precede
-      one another in path order under L exactly when max B_i < min B_(i+1)
-      for each i; reflecting the positions turns this into the same
-      condition for B_k, ..., B_0 under R.  Positions increase along the
-      path under L exactly when they increase along the reversed path
-      under R.  A branch wholly left of its spinal vertex under L is wholly
-      right of it under R, and straddling branches straddle in both, so
-      each side's spans under R are the other side's spans under L,
-      reflected.  Reflection keeps two spans disjoint or overlapping, so
-      the overlap verdict and the same-side pair count agree.  Hence the
-      structural verdict of an optimum is computed once per mirror pair:
-      it is kept under the layout's ``vertex_at`` until the reversal
-      arrives, whatever order the oracle lists them in.
+      reversed, with the same branches at every path vertex.  So each
+      branch span [lo, hi] under L is [n + 1 - hi, n + 1 - lo] under R, and
+      so is the span of each path vertex joined with its branches.  Each
+      such subtree span ends before the next one starts, and the path's
+      positions increase, along the path under L exactly when they do along
+      the reversed path under R.
+      A branch wholly left of its path vertex under L is wholly right of it
+      under R, and straddling branches straddle in both, so each side's
+      spans under R are the other side's spans under L, reflected.
+      Reflection keeps two spans disjoint or overlapping, so the overlap
+      verdict agrees, and so does whether some side holds two branches.
+      Hence the structural verdict of an optimum is computed once per
+      mirror pair: it is kept under the layout's ``vertex_at`` until the
+      reversal arrives, whatever order the oracle lists them in.
 
     The extremes verdict is computed for every layout: its repair search
     repairs position 1 before position n, so it is not shown to be

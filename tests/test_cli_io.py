@@ -34,7 +34,7 @@ from halin_ola import (
     serialize_instance,
     serialize_layout,
 )
-from halin_ola import cli, io_formats
+from halin_ola import cli, generators, io_formats
 from halin_ola.cli import _parse_corpus, main
 from halin_ola.io_formats import _load_json
 
@@ -364,6 +364,74 @@ class TestLayoutFormat:
     def test_non_permutation_rejected(self):
         with pytest.raises(ParseError):
             parse_layout(b'{"schemaVersion": 1, "vertexAt": [0, 0, 1]}')
+
+
+class TestInputCeiling:
+    # the parsers read generators.MAX_GEN_N when called, so these tests
+    # patch it down instead of building inputs near 2^20 vertices
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "caterpillar", "--spine", "3000",
+         "--leaves", ",".join(["2"] + ["1"] * 2998 + ["2"])],
+        ["--family", "kary", "--k", "3", "--c", "2", "--h", "8"],
+        ["--family", "random", "--n", "300", "--seed", str(10**600)],
+    ], ids=["caterpillar", "kary", "random"])
+    def test_canonical_files_at_the_ceiling_parse(self, argv, tmp_path, capsys, monkeypatch):
+        # the caterpillar's one-leaf spine spends the most bytes per vertex
+        inst = tmp_path / "x.json"
+        assert main(["gen", *argv, "-o", str(inst)]) == 0
+        data = inst.read_bytes()
+        n = parse_instance(data).n
+        layout = serialize_layout(Layout(tuple(range(n))))
+        monkeypatch.setattr(generators, "MAX_GEN_N", n)
+        assert parse_instance(data).n == parse_layout(layout).n == n
+        monkeypatch.setattr(generators, "MAX_GEN_N", n - 1)
+        for parse, doc, what in ((parse_instance, data, "instance"),
+                                 (parse_layout, layout, "layout")):
+            with pytest.raises(TooLarge, match=f"^{what} has {n} vertices, "
+                                               f"above the ceiling of {n - 1}$"):
+                parse(doc)
+
+    @pytest.mark.parametrize("parse, data", [
+        (parse_instance, json.dumps({"schemaVersion": 1, "tree": {
+            "root": 0, "children": {"0": list(range(1, 10))}}}).encode()),
+        (parse_layout, json.dumps({"schemaVersion": 1, "vertexAt": list(range(10))}).encode()),
+    ], ids=["instance", "layout"])
+    def test_compact_file_over_the_ceiling_refused_after_decoding(self, parse, data,
+                                                                 monkeypatch):
+        monkeypatch.setattr(generators, "MAX_GEN_N", 9)
+        assert len(data) < io_formats._max_file_bytes()
+        with pytest.raises(TooLarge, match="has 10 vertices, above the ceiling of 9$"):
+            parse(data)
+
+    @pytest.mark.parametrize("parse", [parse_instance, parse_layout])
+    def test_long_file_refused_before_decoding(self, parse, monkeypatch):
+        # 20,000 vertices against a ceiling of 1,000: decoding alone would
+        # hold the text and 20,000 ints
+        monkeypatch.setattr(generators, "MAX_GEN_N", 1000)
+        data = serialize_layout(Layout(tuple(range(20_000))))
+        cap = io_formats._max_file_bytes()
+        assert cap == (3 * 4 + 30) * 1000 + 1024  # 4 digits in 1,000
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=f"^file has {len(data)} bytes, "
+                                               f"above the cap of {cap}$"):
+                parse(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 < len(data) // 8
+
+    def test_cli_refusal_exit_1(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "w.json"
+        main(["gen", "--family", "wheel", "--spokes", "9", "-o", str(inst)])
+        capsys.readouterr()
+        monkeypatch.setattr(generators, "MAX_GEN_N", 9)
+        assert main(["solve", "--method", "direct", "-i", str(inst),
+                     "-o", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr() == (
+            "", "error: instance has 10 vertices, above the ceiling of 9\n")
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestDot:
@@ -819,6 +887,33 @@ class TestCliPipeline:
         assert capsys.readouterr().err == (
             "error: -t/--tree-layout applies only to --method rearrange\n")
         assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        *((["solve", "--method", method, "-i", "k4", "-o", "out", "--limit", "3"],
+           "--limit applies only to --method oracle")
+          for method in ("direct", "rbt", "rearrange")),
+        (["bound", "-i", "k4", "--tree-opt", "9", "--limit", "2"],
+         "--limit does not apply with --tree-opt"),
+    ], ids=["direct", "rbt", "rearrange", "bound-tree-opt"])
+    def test_limit_refused_where_nothing_reads_it(self, argv, message, tmp_path, capsys,
+                                                  monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "_read", reads.append)
+        argv = [str(tmp_path / a) if a in ("k4", "out") else a for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert reads == [] and not (tmp_path / "out").exists()
+
+    def test_limit_defaults_to_10_where_it_applies(self, tmp_path, capsys):
+        # wheel(10) has n = 11: one past the default limit, within --limit 11
+        inst, out = tmp_path / "w.json", tmp_path / "out.json"
+        main(["gen", "--family", "wheel", "--spokes", "10", "-o", str(inst)])
+        capsys.readouterr()
+        for argv in (["solve", "--method", "oracle", "-o", str(out)], ["bound", "--oracle"]):
+            assert main([*argv, "-i", str(inst)]) == 1
+            assert capsys.readouterr().err == "error: n=11 exceeds oracle limit 10\n"
+            assert main([*argv, "-i", str(inst), "--limit", "11"]) == 0
+            capsys.readouterr()
 
     def test_tree_optimum_refusal_names_only_own_options(self, tmp_path, capsys):
         # a random instance whose tree is not recursively balanced, with n

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from halin_ola import (
     reverse_block,
     sigma_swap,
 )
-from halin_ola.property_suite import _blocks_in_order, _spine
+from halin_ola.property_suite import _spine, _structural_verdict
 
 
 def permutation(n, seed=0):
@@ -173,10 +174,13 @@ class TestBlockOps:
 
 class TestTypeAndDelta:
     def test_is_of_type(self):
-        # the property suite's test that blocks wholly precede one another
+        # the property suite's test that the subtrees, each a path vertex
+        # and its branches, wholly precede one another in path order
         lay = Layout((3, 4, 0, 1, 2))
-        assert _blocks_in_order(lay.positions, [[3, 4], [0], [1, 2]])
-        assert not _blocks_in_order(lay.positions, [[0], [3, 4], [1, 2]])
+        in_order = ((3, 0, 1), (((4,),), (), ((2,),)))  # {3, 4}, {0}, {1, 2}
+        out_of_order = ((0, 3, 1), ((), ((4,),), ((2,),)))  # {0}, {3, 4}, {1, 2}
+        assert _structural_verdict(in_order, lay.positions)[0]
+        assert not _structural_verdict(out_of_order, lay.positions)[0]
 
 
 class TestSpinal:
@@ -195,8 +199,9 @@ class TestSpinal:
 
     def test_spinal_decomposition(self):
         h = gen_wheel(4)
-        path, subtrees, branches = _spine(h.tree, 1, 4)
+        path, branches = _spine(h.tree, 1, 4)
         assert path == (1, 0, 4)
-        assert [set(s) for s in subtrees] == [{1}, {0, 2, 3}, {4}]
+        # each subtree is its path vertex plus the branches anchored there
+        assert [{w, *chain(*bs)} for w, bs in zip(path, branches)] == [{1}, {0, 2, 3}, {4}]
         assert sorted(map(sorted, branches[1])) == [[2], [3]]
         assert branches[0] == branches[2] == ()

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,7 @@ from halin_ola import (
 )
 from halin_ola import property_suite
 from halin_ola.generators import GenSpec, caterpillar_spec
-from halin_ola.property_suite import (
-    _branch_sides,
-    _same_side_pairs,
-    _spine,
-    _structural_verdict,
-)
+from halin_ola.property_suite import _spine, _structural_verdict
 
 
 def k4_optima():
@@ -67,12 +64,10 @@ class TestBranchNonOverlap:
         lay = Layout((1, 2, 0, 3, 4))
         # the hub has one branch per side here: nothing to compare
         assert verdict(h, lay)[2:] == (True, True)
-        assert _same_side_pairs(_branch_sides(lay.positions, spine_of(h, lay))) == 0
 
     def test_same_side_pair_counted(self):
         h = gen_wheel(5)
         lay = Layout((1, 2, 3, 0, 4, 5))  # two same-side branches at the hub
-        assert _same_side_pairs(_branch_sides(lay.positions, spine_of(h, lay))) >= 1
         assert verdict(h, lay)[2:] == (True, False)
 
 
@@ -198,8 +193,10 @@ def _reference_spine(tree, first, last):
 
 
 def _as_sets(spine):
-    path, subtrees, branches = spine
-    return (path, tuple(map(frozenset, subtrees)),
+    """(path, subtrees, branches) as _reference_spine gives them, each subtree
+    derived as its path vertex plus the branches anchored there."""
+    path, branches = spine
+    return (path, tuple(frozenset((w, *chain(*bs))) for w, bs in zip(path, branches)),
             tuple({frozenset(b) for b in bs} for bs in branches))
 
 
@@ -238,6 +235,37 @@ def test_spine_matches_its_definition_on_every_endpoint_pair(n, seed):
                 tree, first, last), (first, last)
 
 
+def _reference_verdict(tree, pos):
+    """The four verdicts from their definitions, on _reference_spine's sets."""
+    order = sorted(tree.vertices, key=pos.__getitem__)
+    path, subtrees, branches = _reference_spine(tree, order[0], order[-1])
+
+    def precedes(a, b):
+        return max(pos[v] for v in a) < min(pos[v] for v in b)
+
+    contiguous = all(map(precedes, subtrees, subtrees[1:]))
+    monotone = all(pos[a] < pos[b] for a, b in zip(path, path[1:]))
+    sides = [[b for b in bs if precedes(b, {w})] for w, bs in zip(path, branches)]
+    sides += [[b for b in bs if precedes({w}, b)] for w, bs in zip(path, branches)]
+    pairs = [pair for side in sides for pair in combinations(side, 2)]
+    disjoint = all(precedes(a, b) or precedes(b, a) for a, b in pairs)
+    return contiguous, monotone, disjoint, disjoint and not pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 10), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_structural_verdict_matches_its_definition_on_random_layouts(n, seed, shuffle):
+    # random layouts fail the lemmas far more often than optima do, so each
+    # verdict is checked both ways
+    tree = gen_random_halin(n, seed=seed).tree  # at most n + 2 = 12 vertices
+    assert tree.n <= 12
+    order = list(tree.vertices)
+    random.Random(shuffle).shuffle(order)
+    pos = Layout(tuple(order)).positions
+    assert _structural_verdict(_spine(tree, order[0], order[-1]), pos) == (
+        _reference_verdict(tree, pos)), order
+
+
 def test_mirror_and_endpoint_facts_on_standard_corpus(corpus):
     for _, h in corpus:
         _assert_mirror_and_endpoint_facts(h, brute_force_ola(h).optimal_layouts)
@@ -256,8 +284,13 @@ def test_run_suite_reports_contiguity_overlap_bound_and_error(monkeypatch):
     # the bound one above the optimum; an instance past the oracle's limit
     # becomes the table's ERROR row
     real_bound = property_suite.halin_lower_bound
-    monkeypatch.setattr(property_suite, "_blocks_in_order", lambda pos, blocks: False)
-    monkeypatch.setattr(property_suite, "_sides_disjoint", lambda sides: False)
+    real_verdict = property_suite._structural_verdict
+
+    def verdict(spine, pos):
+        _, monotone, _, _ = real_verdict(spine, pos)
+        return False, monotone, False, False
+
+    monkeypatch.setattr(property_suite, "_structural_verdict", verdict)
     monkeypatch.setattr(property_suite, "halin_lower_bound",
                         lambda h, tree_opt: real_bound(h, tree_opt) + 1)
     specs = [GenSpec("wheel", (("spokes", s),)) for s in (3, 12)]
@@ -282,18 +315,19 @@ def test_counterexamples_digest(monkeypatch):
     # of counterexamples.  The monotone stand-in fails when vertex 1 sits
     # second from either end, a set closed under reversal, as a real
     # structural check is; the extremes stand-in is not mirror-symmetric.
-    real_spine_monotone = property_suite._spine_monotone
+    real_verdict = property_suite._structural_verdict
     real_extremes = property_suite.check_extremes_are_leaves
 
-    def monotone(pos, path):
-        return real_spine_monotone(pos, path) and pos[1] not in (2, len(pos) - 1)
+    def verdict(spine, pos):
+        contiguous, monotone, disjoint, vacuous = real_verdict(spine, pos)
+        return contiguous, monotone and pos[1] not in (2, len(pos) - 1), disjoint, vacuous
 
     def extremes(h, layout):
         if layout.vertex_at[1] == 2:
             return ExtremesVerdict.VIOLATION
         return real_extremes(h, layout)
 
-    monkeypatch.setattr(property_suite, "_spine_monotone", monotone)
+    monkeypatch.setattr(property_suite, "_structural_verdict", verdict)
     monkeypatch.setattr(property_suite, "check_extremes_are_leaves", extremes)
     specs = [GenSpec("wheel", (("spokes", s),)) for s in (4, 5)]
     specs += [caterpillar_spec(2, [2, 2]), GenSpec("random", (("n", 7),), seed=3)]
