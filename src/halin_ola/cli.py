@@ -44,7 +44,7 @@ from .io_formats import (
 )
 from .layout_ops import Layout, la_cost, la_total
 from .property_suite import run_suite
-from .tree_ola import brute_force_ola, rbt_ola
+from .tree_ola import ORACLE_LIMIT, brute_force_ola, rbt_ola
 
 
 class _Help(Exception):
@@ -142,7 +142,7 @@ def _cmd_solve(args) -> int:
         raise BadParam("--limit applies only to --method oracle")
     h = _load_instance(args.input)
     if args.method == "oracle":
-        limit = 10 if args.limit is None else args.limit
+        limit = ORACLE_LIMIT if args.limit is None else args.limit
         layout = brute_force_ola(h, limit=limit, layout_cap=1).optimal_layouts[0]
     elif args.method == "rbt":
         layout = rbt_ola(h.tree)
@@ -190,7 +190,7 @@ def _cmd_bound(args) -> int:
             raise BadParam(f"--tree-opt {tree_opt} is below n-1 = {h.n - 1}, "
                            "the least cost of any tree layout")
     else:
-        limit = 10 if args.limit is None else args.limit
+        limit = ORACLE_LIMIT if args.limit is None else args.limit
         tree_opt = _tree_optimum(h, args.oracle, limit, "; pass --tree-opt")
     print(halin_lower_bound(h, tree_opt))
     return 0
@@ -341,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("-l", "--layout", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also compare against the exact oracle optimum")
-    p.add_argument("--limit", type=int, default=10, help="oracle size limit")
+    p.add_argument("--limit", type=int, default=ORACLE_LIMIT, help="oracle size limit")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("proptest", help="run the structural property suite")
@@ -350,7 +350,7 @@ def build_parser() -> _Parser:
                         + ", ".join(grammar for _, grammar in _FAMILIES.values())
                         + ' (e.g. "wheel=3..8;caterpillar=2:2,2;random=7,5,100"),'
                         + f" {MAX_CORPUS_INSTANCES} instances at most")
-    p.add_argument("--oracle-limit", type=int, default=10)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT)
     p.set_defaults(func=_cmd_proptest)
 
     p = sub.add_parser("export-dot", help="write a DOT rendering")
@@ -377,12 +377,8 @@ def _emit_error(exc: Exception, as_json: bool, code: int) -> None:
     message = str(exc) or exc.__class__.__name__
     print(f"error: {message}", file=sys.stderr)
     if as_json:
-        print(
-            json.dumps(
-                {"error": exc.__class__.__name__, "message": message, "exitCode": code}
-            ),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": exc.__class__.__name__, "message": message,
+                          "exitCode": code}), file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -21,7 +21,7 @@ from .generators import GenSpec
 from .graph_core import EmbeddedTree, HalinGraph, VertexId
 from .halin_arrange import halin_lower_bound
 from .layout_ops import Layout, la_total
-from .tree_ola import brute_force_ola
+from .tree_ola import ORACLE_LIMIT, brute_force_ola
 
 
 def _spine(tree: EmbeddedTree, first: VertexId, last: VertexId) -> tuple:
@@ -233,7 +233,7 @@ def _spec_name(spec: GenSpec) -> str:
 
 
 def run_suite(corpus: Sequence[Tuple[GenSpec, HalinGraph]],
-              oracle_limit: int = 10) -> SuiteReport:
+              oracle_limit: int = ORACLE_LIMIT) -> SuiteReport:
     """Check every lemma on every enumerated optimum of every instance.
 
     Individual instance failures are recorded (with serialized

@@ -18,6 +18,7 @@ from .graph_core import EmbeddedTree, VertexId
 from .layout_ops import Layout
 
 LAYOUT_CAP = 10_000
+ORACLE_LIMIT = 10
 # The subset DP holds two lists of 2^n ints: about 0.1 GB at n = 20.  A
 # call that lists layouts holds a third list of 2^n slots while it walks.
 _ORACLE_MAX_N = 20
@@ -296,7 +297,7 @@ def _first_optima(n: int, h: List[int], cap: int) -> List[Layout]:
             return layouts
 
 
-def brute_force_ola(g, limit: int = 10, pruned: bool = True,
+def brute_force_ola(g, limit: int = ORACLE_LIMIT, pruned: bool = True,
                     layout_cap: int = LAYOUT_CAP) -> OracleResult:
     """Exact optimum of any small simple graph.
 
@@ -316,11 +317,11 @@ def brute_force_ola(g, limit: int = 10, pruned: bool = True,
     negative cap raises BadParam.
 
     Raises BadParam first when ``limit`` or ``layout_cap`` is not an ``int``
-    or is a bool.  Raises TooLarge when n exceeds ``limit`` (default 10),
-    and whatever ``limit`` says, when n exceeds ``_ORACLE_MAX_N``, before
-    allocating.  Raises BadParam, after those checks and before allocating,
-    when an edge repeats in either orientation; no ``EmbeddedTree`` or
-    ``HalinGraph`` repeats one.
+    or is a bool.  Raises TooLarge when n exceeds ``limit`` (default
+    ``ORACLE_LIMIT``), and whatever ``limit`` says, when n exceeds
+    ``_ORACLE_MAX_N``, before allocating.  Raises BadParam, after those
+    checks and before allocating, when an edge repeats in either
+    orientation; no ``EmbeddedTree`` or ``HalinGraph`` repeats one.
     """
     _check_ints(limit=limit, layout_cap=layout_cap)
     n = g.n

@@ -2,16 +2,16 @@
 
 Usage::
 
-    python3 tools/mutants.py NAME [NAME ...] [--timeout S] [--list] [-- PYTEST_ARGS]
+    python3 tools/mutants.py NAME [NAME ...] [-- PYTEST_ARGS]
 
 Each NAME is a function or method defined in ``src/halin_ola``, written
 ``name`` or, when several modules define it, ``module:name``.  For every
 mutation site in each named function, the runner copies ``src/`` into a
 temporary directory, rewrites that one site there, and runs
 ``python -m pytest -x -q PYTEST_ARGS`` from the repository root with
-``PYTHONPATH`` set to the copy, under a timeout of S seconds per mutant
-(90 by default).  The working tree is never written.  ``--list`` prints the
-mutants without running anything.
+``PYTHONPATH`` set to the copy.  The working tree is never written.  The
+same run on the unmutated copy comes first: it must pass, and each mutant
+may take ``TIMEOUT_FACTOR`` times as long as it took.
 
 The operators:
 
@@ -35,11 +35,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "halin_ola"
+# a hung mutant stops at this multiple of the unmutated run's time; a mutant
+# that passes only a little slower, on a busy host, still finishes
+TIMEOUT_FACTOR = 3
 
 _FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
@@ -130,7 +134,8 @@ def mutants(path: Path, func: str) -> List[Tuple[int, str, str]]:
     return out
 
 
-def run_mutant(path: Path, mutated: str, pytest_args: List[str], timeout: float) -> str:
+def run_mutant(path: Path, mutated: str, pytest_args: List[str],
+               timeout: Optional[float]) -> str:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -155,26 +160,21 @@ def main(argv: List[str]) -> int:
     split = argv.index("--") if "--" in argv else len(argv)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="+")
-    parser.add_argument("--timeout", type=float, default=90.0)
-    parser.add_argument("--list", action="store_true")
     args, pytest_args = parser.parse_args(argv[:split]), argv[split + 1:]
     found = [find_function(name) for name in args.names]
-    if not args.list:  # the unmutated copy must pass, or no verdict means anything
-        for path in {path for path, _ in found}:
-            if run_mutant(path, path.read_text(), pytest_args, args.timeout) != "SURVIVED":
-                raise SystemExit("the tests fail or time out on the unmutated copy")
+    # the unmutated copy must pass, or no verdict means anything
+    path = found[0][0]
+    started = time.monotonic()
+    if run_mutant(path, path.read_text(), pytest_args, None) != "SURVIVED":
+        raise SystemExit("the tests fail on the unmutated copy")
+    timeout = TIMEOUT_FACTOR * (time.monotonic() - started)
+    print(f"unmutated run passed; {timeout:.0f} s per mutant", flush=True)
     tally = {"killed": 0, "SURVIVED": 0, "timeout": 0}
     for path, func in found:
         for line, what, mutated in mutants(path, func):
-            label = f"{path.stem}.py:{line} {func}: {what}"
-            if args.list:
-                print(label)
-                continue
-            verdict = run_mutant(path, mutated, pytest_args, args.timeout)
+            verdict = run_mutant(path, mutated, pytest_args, timeout)
             tally[verdict] += 1
-            print(f"{verdict:<8} {label}", flush=True)
-    if args.list:
-        return 0
+            print(f"{verdict:<8} {path.stem}.py:{line} {func}: {what}", flush=True)
     print(", ".join(f"{count} {verdict.lower()}" for verdict, count in tally.items()))
     return 0 if tally["SURVIVED"] == tally["timeout"] == 0 else 1
 
