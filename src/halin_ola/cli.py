@@ -377,8 +377,12 @@ def _emit_error(exc: Exception, as_json: bool, code: int) -> None:
     message = str(exc) or exc.__class__.__name__
     print(f"error: {message}", file=sys.stderr)
     if as_json:
-        print(json.dumps({"error": exc.__class__.__name__, "message": message,
-                          "exitCode": code}), file=sys.stderr)
+        print(
+            json.dumps(
+                {"error": exc.__class__.__name__, "message": message, "exitCode": code}
+            ),
+            file=sys.stderr,
+        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -124,7 +124,6 @@ def _child_map(children_doc: dict) -> Tuple[List[int], List[List[int]]]:
 
     Keys must be canonical integers and values integer arrays; only when a
     pass fails is the map walked key by key, to name the first offender.
-    Then 1 + the children listed, the tree's n, must be within the ceiling.
     """
     keys = list(children_doc)
     lists = list(children_doc.values())
@@ -136,7 +135,7 @@ def _child_map(children_doc: dict) -> Tuple[List[int], List[List[int]]]:
     if not (canonical and set(map(type, lists)) <= {list}
             and set(map(type, chain.from_iterable(lists))) <= _INT):
         _raise_first_bad_key(children_doc)
-    _check_n(1 + sum(map(len, lists)), "instance")
+    _check_n(1 + sum(map(len, lists)), "instance")  # the tree's n
     return ids, lists
 
 
