@@ -39,6 +39,7 @@ from .io_formats import (
     export_dot,
     parse_instance,
     parse_layout,
+    read_input as _read,
     serialize_instance,
     serialize_layout,
 )
@@ -59,18 +60,9 @@ class _Parser(argparse.ArgumentParser):
         raise _Help()
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
-
-
 def _write(path: str, data: bytes):
     with open(path, "wb") as f:
         f.write(data)
-
-
-def _load_instance(path: str) -> HalinGraph:
-    return parse_instance(_read(path))
 
 
 def _load_layout(path: str, h: HalinGraph) -> Layout:
@@ -140,7 +132,7 @@ def _cmd_solve(args) -> int:
         raise BadParam("-t/--tree-layout applies only to --method rearrange")
     if args.limit is not None and args.method != "oracle":
         raise BadParam("--limit applies only to --method oracle")
-    h = _load_instance(args.input)
+    h = parse_instance(_read(args.input))
     if args.method == "oracle":
         limit = ORACLE_LIMIT if args.limit is None else args.limit
         layout = brute_force_ola(h, limit=limit, layout_cap=1).optimal_layouts[0]
@@ -161,7 +153,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    h = _load_instance(args.input)
+    h = parse_instance(_read(args.input))
     _print_cost(h, _load_layout(args.layout, h))
     return 0
 
@@ -183,7 +175,7 @@ def _tree_optimum(h: HalinGraph, use_oracle: bool, limit: int, advice: str = "")
 def _cmd_bound(args) -> int:
     if args.limit is not None and args.tree_opt is not None:
         raise BadParam("--limit does not apply with --tree-opt")
-    h = _load_instance(args.input)
+    h = parse_instance(_read(args.input))
     if args.tree_opt is not None:
         tree_opt = args.tree_opt
         if tree_opt < h.n - 1:  # each of the n - 1 tree edges costs at least 1
@@ -197,7 +189,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    h = _load_instance(args.input)
+    h = parse_instance(_read(args.input))
     layout = _load_layout(args.layout, h)
     tree_opt = _tree_optimum(h, args.oracle, args.limit)
     cert = certify(h, layout, tree_opt)
@@ -287,7 +279,7 @@ def _cmd_proptest(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    h = _load_instance(args.input)
+    h = parse_instance(_read(args.input))
     layout = _load_layout(args.layout, h) if args.layout else None
     with open(args.output, "wb") as f:  # only once both inputs are checked
         export_dot(h, layout, out=f)

@@ -11,9 +11,11 @@ once ``indent`` is set).  Integers in files are JSON integers, never booleans.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections import Counter
 from itertools import chain, islice
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
 from . import generators
 from .errors import ParseError, SchemaVersionUnsupported, TooLarge
@@ -47,14 +49,34 @@ def _max_file_bytes() -> int:
     return (3 * len(str(ceiling)) + 30) * ceiling + 1024
 
 
+def _check_bytes(size: int) -> None:
+    if size > _max_file_bytes():
+        raise TooLarge(f"file has {size} bytes, above the cap of {_max_file_bytes()}")
+
+
+def read_input(path: str) -> bytes:
+    """The file's bytes, refused unread past the byte cap; a pipe, whose size
+    is not known, is read to one byte past the cap at most, which parsing refuses."""
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        _check_bytes(info.st_size)
+        return f.read(None if stat.S_ISREG(info.st_mode) else _max_file_bytes() + 1)
+
+
 def _check_n(n: int, what: str) -> None:
     if n > generators.MAX_GEN_N:
         raise TooLarge(f"{what} has {n} vertices, above the ceiling of {generators.MAX_GEN_N}")
 
 
 def _load_json(data: bytes) -> object:
-    if len(data) > _max_file_bytes():  # before decoding
-        raise TooLarge(f"file has {len(data)} bytes, above the cap of {_max_file_bytes()}")
+    _check_bytes(len(data))  # before decoding
+    # a canonical file holds n - 2 commas in its child map, n/2 and a few at most
+    # in gen's metadata (a caterpillar's leaf counts), n in a layout: fewer than
+    # most while n is within the ceiling; only a file longer than most holds more
+    most = 2 * generators.MAX_GEN_N + 1024
+    commas = data.count(b",") if len(data) > most else 0
+    if commas > most:
+        raise TooLarge(f"file has {commas} commas, above the cap of {most}")
     sizes: List[int] = []  # keys per decoded object
     try:
         text = data.decode("utf-8")
@@ -75,7 +97,11 @@ def _load_json(data: bytes) -> object:
         raise ParseError("JSON nested too deeply") from None
 
 
-def _check_version(doc: dict):
+def _load_doc(data: bytes, what: str, fields: set) -> dict:
+    """The file's JSON object, once its schema version is 1 and it holds only ``fields``."""
+    doc = _load_json(data)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} file must be a JSON object")
     version = doc.get("schemaVersion")
     if version == SCHEMA_VERSION and type(version) is not int:
         raise ParseError(f"schemaVersion {version!r} is not an integer")
@@ -83,6 +109,8 @@ def _check_version(doc: dict):
         raise SchemaVersionUnsupported(
             f"schemaVersion {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
+    _check_fields(doc, fields, what)
+    return doc
 
 
 def _check_fields(doc: dict, allowed: set, where: str):
@@ -102,11 +130,7 @@ def parse_instance(data: bytes) -> HalinGraph:
     ``build_embedded_tree`` raises (structural faults named in vertex-id
     order), or InvalidSubstrate.
     """
-    doc = _load_json(data)
-    if not isinstance(doc, dict):
-        raise ParseError("instance file must be a JSON object")
-    _check_version(doc)
-    _check_fields(doc, _INSTANCE_FIELDS, "instance")
+    doc = _load_doc(data, "instance", _INSTANCE_FIELDS)
     tree_doc = doc.get("tree")
     if not isinstance(tree_doc, dict):
         raise ParseError("missing or malformed 'tree' object")
@@ -186,11 +210,7 @@ def serialize_instance(h: HalinGraph, metadata: Optional[dict] = None) -> bytes:
 
 
 def parse_layout(data: bytes) -> Layout:
-    doc = _load_json(data)
-    if not isinstance(doc, dict):
-        raise ParseError("layout file must be a JSON object")
-    _check_version(doc)
-    _check_fields(doc, _LAYOUT_FIELDS, "layout")
+    doc = _load_doc(data, "layout", _LAYOUT_FIELDS)
     arr = doc.get("vertexAt")
     if type(arr) is not list or not set(map(type, arr)) <= _INT:
         raise ParseError("'vertexAt' must be an integer array")
@@ -211,39 +231,25 @@ def serialize_layout(layout: Layout) -> bytes:
 _DOT_PIECE_LINES = 4096
 
 
-def export_dot(h: HalinGraph, layout: Optional[Layout] = None,
-               out: Optional[BinaryIO] = None) -> Optional[str]:
-    """DOT rendering: tree edges dashed, cycle edges bold.
+def export_dot(h: HalinGraph, layout: Optional[Layout] = None, *, out: BinaryIO) -> None:
+    """Write the DOT rendering to the binary file ``out``: tree edges dashed, cycle edges bold.
 
-    With a layout, vertices are labeled "name:position".  The text is made
-    in pieces of at most ``_DOT_PIECE_LINES`` lines.  Without ``out`` they
-    are joined and returned.  With ``out``, a binary file, each piece is
-    written to it as UTF-8 and dropped, and None is returned; only one piece
-    is held at a time, so the whole text (3.6 MB at n = 49,150) never is.
-    The CLI opens its output file only after the instance and layout have
-    been parsed and their sizes checked, so a rejected input writes nothing.
+    With a layout, vertices are labeled "name:position".  The text is
+    written as UTF-8 in pieces of at most ``_DOT_PIECE_LINES`` lines, each
+    one %-format over a repeated line template, so no per-line strings are
+    built and the whole text (3.6 MB at n = 49,150) is never held.
     """
-    pieces = _dot_pieces(h, layout)
-    if out is None:
-        return "".join(pieces)
-    for piece in pieces:
-        out.write(piece.encode("utf-8"))
-    return None
-
-
-def _dot_pieces(h: HalinGraph, layout: Optional[Layout]) -> Iterator[str]:
-    # each piece is one %-format over a repeated line template, so no
-    # per-line strings are built
     lines = _DOT_PIECE_LINES
     tree = h.tree
-    yield "graph halin {\n"
+    out.write(b"graph halin {\n")
     for lo in range(0, tree.n, lines):
         ids = tree.vertices[lo:lo + lines]
         if layout is None:
-            yield "  %d;\n" * len(ids) % tuple(ids)
+            piece = "  %d;\n" * len(ids) % tuple(ids)
         else:
             cells = chain.from_iterable(zip(ids, ids, layout.positions[lo:lo + lines]))
-            yield '  %d [label="%d:%d"];\n' * len(ids) % tuple(cells)
+            piece = '  %d [label="%d:%d"];\n' * len(ids) % tuple(cells)
+        out.write(piece.encode("utf-8"))
     tree_pairs = ((v, c) for v, cs in enumerate(tree.children) for c in cs)
     for style, pairs in (("dashed", tree_pairs), ("bold", iter(h.cycle_pairs()))):
         while True:
@@ -252,5 +258,6 @@ def _dot_pieces(h: HalinGraph, layout: Optional[Layout]) -> Iterator[str]:
                 ends += (a, b) if a < b else (b, a)
             if not ends:
                 break
-            yield f"  %d -- %d [style={style}];\n" * (len(ends) // 2) % tuple(ends)
-    yield "}\n"
+            piece = f"  %d -- %d [style={style}];\n" * (len(ends) // 2) % tuple(ends)
+            out.write(piece.encode("utf-8"))
+    out.write(b"}\n")

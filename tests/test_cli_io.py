@@ -4,6 +4,7 @@ import json
 import os
 import random
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -99,6 +100,29 @@ class TestInstanceFormat:
         finally:
             tracemalloc.stop()
         assert peak < self._ID_SET_PARSE_PEAK - 64 * 1024
+
+    # parsing the kary(3,2,12) file (n = 12,286, 321,219 bytes) on CPython
+    # 3.11.7 peaked at 2,602,999-2,715,215 bytes, and the parsed graph held
+    # 82.1-86.0 bytes per vertex (the traced memory that dropping it freed)
+    _KARY12_PARSE_PEAK = 2_850_000
+    _KARY12_KEPT_PER_VERTEX = 90
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="peaks pinned on CPython 3.11")
+    def test_parse_peak_and_kept_memory_at_a_second_size(self):
+        data = serialize_instance(gen_kary_rbt_halin(3, 2, 12))
+        tracemalloc.start()
+        try:
+            h = parse_instance(data)
+            n = h.n
+            with_graph, peak = tracemalloc.get_traced_memory()
+            del h
+            kept = with_graph - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n == 12_286
+        assert peak < self._KARY12_PARSE_PEAK
+        assert kept < self._KARY12_KEPT_PER_VERTEX * n
 
 
 def _instance_bytes(tree=None, version=1) -> bytes:
@@ -246,6 +270,20 @@ class TestParseErrorMessages:
             parse(data)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("parse, what", [(parse_instance, "instance"),
+                                             (parse_layout, "layout")])
+    def test_file_not_an_object(self, parse, what, tmp_path, capsys):
+        with pytest.raises(ParseError) as exc:
+            parse(b"[0, 1]")
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == f"{what} file must be a JSON object"
+        inst, lay = tmp_path / "w.json", tmp_path / "w.layout.json"
+        inst.write_bytes(serialize_instance(gen_wheel(3)))
+        lay.write_bytes(serialize_layout(Layout((0, 1, 2, 3))))
+        (inst if what == "instance" else lay).write_bytes(b"[0, 1]")
+        assert main(["cost", "-i", str(inst), "-l", str(lay)]) == 2
+        assert capsys.readouterr().err == f"error: {what} file must be a JSON object\n"
+
 
 def _relabeled_halin(data, max_n):
     """A random Halin graph under a random relabelling of its vertices."""
@@ -321,6 +359,13 @@ def _reference_dot(h, layout=None) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def _dot_text(h, layout=None) -> str:
+    """export_dot's output, read back through a bytes buffer."""
+    sink = io.BytesIO()
+    export_dot(h, layout, out=sink)
+    return sink.getvalue().decode()
+
+
 class TestCanonicalWriters:
     """The direct writers emit exactly what json.dumps(indent=2) would."""
 
@@ -352,8 +397,8 @@ class TestCanonicalWriters:
     def test_dot_equals_reference(self, data):
         h = _relabeled_halin(data, 300)
         lay = Layout(tuple(data.draw(st.permutations(list(h.tree.vertices)))))
-        assert export_dot(h) == _reference_dot(h)
-        assert export_dot(h, lay) == _reference_dot(h, lay)
+        assert _dot_text(h) == _reference_dot(h)
+        assert _dot_text(h, lay) == _reference_dot(h, lay)
 
 
 class TestLayoutFormat:
@@ -434,16 +479,115 @@ class TestInputCeiling:
         assert not (tmp_path / "out.json").exists()
 
 
+def _traced_peak(call):
+    """``call()``'s result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRefusedUnread:
+    """Past a size limit, a file is refused before it is read or decoded."""
+
+    def _main(self, argv, monkeypatch):
+        # the parser is built outside the trace: argparse's tables alone
+        # take most of 64 KiB
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        return _traced_peak(lambda: main(argv))
+
+    def test_cli_refuses_a_long_file_before_reading_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_GEN_N", 1000)  # a byte cap of 43,024
+        big = tmp_path / "big.json"
+        big.write_bytes(b" " * 5_000_000)
+        code, peak = self._main(["cost", "-i", str(big), "-l", str(tmp_path / "x.json")],
+                                monkeypatch)
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: file has 5000000 bytes, above the cap of 43024\n")
+        assert peak < 64 * 1024
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_cli_reads_a_pipe_to_one_byte_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_GEN_N", 1000)
+        fifo = tmp_path / "in.json"
+        os.mkfifo(fifo)
+        payload = b" " * 5_000_000
+
+        def write():
+            try:
+                with open(fifo, "wb") as pipe:
+                    pipe.write(payload)
+            except BrokenPipeError:  # the reader stopped at the cap
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        code, peak = self._main(["cost", "-i", str(fifo), "-l", str(tmp_path / "x.json")],
+                                monkeypatch)
+        writer.join(10)
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: file has 43025 bytes, above the cap of 43024\n")
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("parse, doc", [
+        (parse_layout, lambda: {"schemaVersion": 1, "vertexAt": list(range(250_000))}),
+        (parse_instance, lambda: {"schemaVersion": 1, "tree": {
+            "root": 0, "children": {"0": list(range(1, 250_001))}}}),
+    ], ids=["layout", "star"])
+    def test_compact_file_with_too_many_commas(self, parse, doc, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_GEN_N", 100_000)
+        most = 2 * 100_000 + 1024
+        data = json.dumps(doc(), separators=(",", ":")).encode()
+        commas = data.count(b",")
+        assert commas > most and len(data) < io_formats._max_file_bytes()
+        refusal, peak = _traced_peak(lambda: pytest.raises(TooLarge, parse, data))
+        assert str(refusal.value) == f"file has {commas} commas, above the cap of {most}"
+        assert peak < 64 * 1024
+
+    def test_comma_boundary(self, monkeypatch):
+        # a layout of k entries holds k commas: at the cap it is decoded and
+        # refused by its n, one past the cap it is refused undecoded
+        monkeypatch.setattr(generators, "MAX_GEN_N", 100_000)
+        most = 2 * 100_000 + 1024
+        for k, message in ((most, f"layout has {most} vertices, above the ceiling of 100000"),
+                           (most + 1, f"file has {most + 1} commas, above the cap of {most}")):
+            data = json.dumps({"schemaVersion": 1, "vertexAt": list(range(k))},
+                              separators=(",", ":")).encode()
+            assert data.count(b",") == k
+            with pytest.raises(TooLarge) as info:
+                parse_layout(data)
+            assert str(info.value) == message
+
+    def test_cli_byte_boundary(self, tmp_path, capsys, monkeypatch):
+        # a file of exactly the cap is read and parsed; one byte more is refused unread
+        monkeypatch.setattr(generators, "MAX_GEN_N", 1000)
+        cap = io_formats._max_file_bytes()
+        inst, lay = tmp_path / "w.json", tmp_path / "w.layout.json"
+        inst.write_bytes(serialize_instance(gen_wheel(3)))
+        layout = serialize_layout(Layout((0, 1, 2, 3)))
+        lay.write_bytes(layout + b" " * (cap - len(layout)))
+        assert main(["cost", "-i", str(inst), "-l", str(lay)]) == 0
+        capsys.readouterr()
+        lay.write_bytes(layout + b" " * (cap + 1 - len(layout)))
+        assert main(["cost", "-i", str(inst), "-l", str(lay)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: file has {cap + 1} bytes, above the cap of {cap}\n")
+
+
 class TestDot:
     def test_k4_edge_styles(self):
-        text = export_dot(gen_wheel(3))
+        text = _dot_text(gen_wheel(3))
         assert text.count("style=dashed") == 3
         assert text.count("style=bold") == 3
         assert "label=" not in text
 
     def test_layout_labels(self):
         h = gen_wheel(4)
-        text = export_dot(h, Layout((1, 2, 0, 3, 4)))
+        text = _dot_text(h, Layout((1, 2, 0, 3, 4)))
         assert text == (
             "graph halin {\n"
             '  0 [label="0:3"];\n'
@@ -488,13 +632,13 @@ class TestDotPieces:
         sink = _PieceSink()
         with mock.patch.object(io_formats, "_DOT_PIECE_LINES", lines):
             assert export_dot(h, lay, out=sink) is None
-        assert sink.getvalue() == export_dot(h, lay).encode() == _reference_dot(h, lay).encode()
+        assert sink.getvalue() == _reference_dot(h, lay).encode()
         assert max(sink.lines) <= lines
 
     def test_written_peak_is_a_fraction_of_the_text(self):
         h = gen_kary_rbt_halin(3, 2, 10)
         lay = direct_rbt_halin_ola(h)
-        size = len(export_dot(h, lay))  # also fills the graph's and layout's caches
+        size = len(_dot_text(h, lay))  # also fills the graph's and layout's caches
         with mock.patch.object(io_formats, "_DOT_PIECE_LINES", 64), \
                 open(os.devnull, "wb") as sink:
             tracemalloc.start()
@@ -731,7 +875,7 @@ class TestCliPipeline:
         main(["solve", "--method", "direct", "-i", str(inst), "-o", str(lay)])
         assert main(["export-dot", "-i", str(inst), "-l", str(lay), "-o", str(dot)]) == 0
         h = parse_instance(inst.read_bytes())
-        assert dot.read_bytes() == export_dot(h, parse_layout(lay.read_bytes())).encode()
+        assert dot.read_bytes() == _dot_text(h, parse_layout(lay.read_bytes())).encode()
 
     def test_proptest_small_corpus(self, capsys):
         assert main(["proptest", "--corpus", "wheel=3..4"]) == 0

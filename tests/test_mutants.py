@@ -45,3 +45,46 @@ def test_nested_function_keeps_its_indentation():
 def test_a_name_must_pick_one_function(name):
     with pytest.raises(SystemExit, match="name exactly one"):
         mutants.find_function(name)
+
+
+@pytest.mark.parametrize("name", ["graph_core:__post_init__", "tree_ola:no_such_function"])
+def test_a_module_qualified_name_must_pick_one_function(name):
+    # EmbeddedTree and HalinGraph both define __post_init__ in graph_core
+    with pytest.raises(SystemExit, match="name exactly one"):
+        mutants.find_function(name)
+
+
+@pytest.mark.parametrize("cls", ["EmbeddedTree", "HalinGraph"])
+def test_a_class_picks_its_method(cls):
+    path, func = mutants.find_function(f"graph_core:{cls}.__post_init__")
+    assert (path.stem, func) == ("graph_core", f"{cls}.__post_init__")
+    assert mutants.find_function(f"{cls}.__post_init__") == (path, func)
+
+
+def test_only_the_picked_method_is_mutated():
+    # EmbeddedTree's __post_init__ comes first in the module, so a first
+    # match would mutate it whichever class was named
+    path, func = mutants.find_function("graph_core:HalinGraph.__post_init__")
+    assert mutants.mutants(path, func) == []  # its one test is a truth test
+
+    path, func = mutants.find_function("graph_core:EmbeddedTree.__post_init__")
+    source = path.read_text()
+
+    def dumps(module):  # each class member and top-level statement but the method
+        out = []
+        for node in ast.parse(module).body:
+            members = node.body if getattr(node, "name", None) == "EmbeddedTree" else [node]
+            out += [ast.dump(m) for m in members if getattr(m, "name", None) != "__post_init__"]
+        return out
+
+    listed = mutants.mutants(path, func)
+    assert listed
+    for _, _, mutated in listed:
+        assert ast.dump(ast.parse(mutated)) != ast.dump(ast.parse(source))
+        assert dumps(mutated) == dumps(source)
+
+
+def test_an_outer_function_qualifies_a_nested_one():
+    assert (mutants.find_function("check_extremes_are_leaves.leaf_extreme")
+            == mutants.find_function("leaf_extreme"))
+    assert mutants.find_function("leaf_extreme")[1] == "check_extremes_are_leaves.leaf_extreme"

@@ -5,7 +5,10 @@ Usage::
     python3 tools/mutants.py NAME [NAME ...] [-- PYTEST_ARGS]
 
 Each NAME is a function or method defined in ``src/halin_ola``, written
-``name`` or, when several modules define it, ``module:name``.  For every
+``name``, or ``Class.name`` for a method (``outer.name`` for a nested
+function), each optionally prefixed ``module:``.  A NAME must pick one
+function: a name that two functions share, in one module or in two, must be
+qualified until it does.  For every
 mutation site in each named function, the runner copies ``src/`` into a
 temporary directory, rewrites that one site there, and runs
 ``python -m pytest -x -q PYTEST_ARGS`` from the repository root with
@@ -54,23 +57,43 @@ _SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-"}
 
 
+def _functions(tree: ast.Module) -> List[Tuple[str, ast.FunctionDef]]:
+    """(dotted name, node) of every function in the module: ``f``,
+    ``Class.f``, ``outer.f``."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    found.append((prefix + child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
 def find_function(name: str) -> Tuple[Path, str]:
-    """The module file that defines ``name`` (``module:name`` picks one)."""
+    """The module file and the dotted name of the one function ``name`` picks.
+
+    A name picks each function whose dotted name it equals or ends, after a
+    dot; ``module:`` limits the search to one module.
+    """
     module, _, func = name.rpartition(":")
     paths = [PACKAGE / f"{module}.py"] if module else sorted(PACKAGE.glob("*.py"))
-    hits = [p for p in paths if p.exists()
-            and any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == func for node in ast.walk(ast.parse(p.read_text())))]
+    hits = [(p, dotted) for p in paths if p.exists()
+            for dotted, _ in _functions(ast.parse(p.read_text()))
+            if dotted == func or dotted.endswith("." + func)]
     if len(hits) != 1:
-        where = ", ".join(p.stem for p in hits) or "no module"
+        where = ", ".join(f"{p.stem}:{dotted}" for p, dotted in hits) or "no module"
         raise SystemExit(f"{name}: defined in {where}; name exactly one")
-    return hits[0], func
+    return hits[0]
 
 
 def _function_node(tree: ast.Module, func: str) -> ast.FunctionDef:
-    return next(node for node in ast.walk(tree)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == func)
+    return next(node for dotted, node in _functions(tree) if dotted == func)
 
 
 def _sites(func_node: ast.FunctionDef) -> List[Tuple[ast.AST, int, str]]:
